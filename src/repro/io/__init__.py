@@ -14,10 +14,8 @@ from repro.io.traces import (
     TraceDiagnostic,
     TraceWriter,
     load_measurement,
-    load_measurement_binary,
     reestimate,
     save_measurement,
-    save_measurement_binary,
 )
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "TraceDiagnostic",
     "TraceWriter",
     "load_measurement",
-    "load_measurement_binary",
     "reestimate",
     "save_measurement",
-    "save_measurement_binary",
 ]

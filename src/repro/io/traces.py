@@ -12,20 +12,17 @@ The format is self-contained: everything estimation needs (schedule and
 probe observations) is in the file, so traces can be shipped between
 machines and re-analyzed with different §6.1 marking parameters.
 
-Alongside the JSONL format there is a packed binary variant
-(:func:`save_measurement_binary` / :func:`load_measurement_binary`): the
-same measurement as a structure-of-arrays ``.npz`` archive, written and
-read in one shot instead of one JSON object per probe. A long trace loads
-as a handful of contiguous arrays — the natural feed for the vectorized
-pipeline (:meth:`Measurement.probe_arrays` →
-:func:`repro.core.batch.run_slot_pipeline`) — and round-trips exactly
-(float bit patterns preserved).
+Offline re-analysis has two implementations of the same §6.1 → §5 fold:
+the scalar reference (:func:`reestimate`'s default) and the array-batched
+one in :mod:`repro.core.batch` (``reestimate(..., vectorized=True)``,
+``repro analyze --vectorized``), which produces the same bits in about
+half the wall time on long traces. Online measurement always runs the
+scalar pipeline.
 """
 
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -87,24 +84,6 @@ class Measurement:
                     ExperimentOutcome(experiment.start_slot, tuple(bits))
                 )
         return outcomes
-
-    def probe_arrays(self):
-        """This measurement's probes as a batch structure-of-arrays.
-
-        Returns a :class:`repro.core.batch.ProbeArrays` (requires numpy)
-        sorted by send time, ready for
-        :func:`repro.core.batch.run_slot_pipeline`.
-        """
-        from repro.core.batch import ProbeArrays
-
-        probes = sorted(self.probes, key=lambda probe: probe.send_time)
-        return ProbeArrays.from_records(probes)
-
-    def experiment_arrays(self):
-        """The schedule as ``(starts, lengths)`` int64 arrays (needs numpy)."""
-        from repro.core.batch import experiment_arrays
-
-        return experiment_arrays(self.experiments)
 
 
 def measurement_from_tool(
@@ -213,8 +192,8 @@ class TraceWriter:
 
         The per-probe :meth:`write_probe` flushes after every line (the
         crash-safety contract for live sessions); batch writers — sweep
-        archival, trace re-export, the vectorized pipeline dumping a whole
-        run — pay that syscall tax per *batch* instead. Line format and
+        archival, trace re-export, dumping a whole finished run — pay
+        that syscall tax per *batch* instead. Line format and
         resulting file bytes are identical to repeated single writes.
         """
         if self._handle is None:
@@ -366,145 +345,6 @@ def load_measurement(path: PathLike, recover: bool = False) -> Measurement:
     return measurement
 
 
-#: Binary (structure-of-arrays) trace format marker, stored in the archive.
-BINARY_FORMAT_NAME = "badabing-trace-npz"
-BINARY_FORMAT_VERSION = 1
-
-
-def save_measurement_binary(
-    path: PathLike,
-    measurement: Union[Measurement, BadabingTool],
-    metadata: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write a measurement as a packed structure-of-arrays ``.npz`` archive.
-
-    The columnar twin of :func:`save_measurement`: the schedule and every
-    probe field become contiguous arrays (variable-length per-probe OWD
-    lists are flattened with an offsets array; absent ``owd_before_loss``
-    is nan-coded), written in one shot. Requires numpy; float values
-    round-trip bit-exactly, so a re-estimate over a reloaded binary trace
-    matches the JSONL one digest-for-digest.
-    """
-    import numpy as np
-
-    from repro.obs.artifacts import ensure_parent_dir
-
-    if isinstance(measurement, BadabingTool):
-        measurement = measurement_from_tool(measurement, metadata)
-    elif metadata:
-        measurement.metadata.update(metadata)
-    probes = measurement.probes
-    n = len(probes)
-    owds_offsets = np.zeros(n + 1, dtype=np.int64)
-    for index, probe in enumerate(probes):
-        owds_offsets[index + 1] = owds_offsets[index] + len(probe.owds)
-    owds_flat = np.fromiter(
-        (owd for probe in probes for owd in probe.owds),
-        dtype=np.float64,
-        count=int(owds_offsets[-1]),
-    )
-    header = {
-        "type": BINARY_FORMAT_NAME,
-        "version": BINARY_FORMAT_VERSION,
-        "slot_width": measurement.slot_width,
-        "n_slots": measurement.n_slots,
-        "p": measurement.p,
-        "metadata": measurement.metadata,
-    }
-    ensure_parent_dir(path, "trace", exc_type=TraceFormatError)
-    with _profiling.profile_stage("trace.io"):
-        try:
-            with open(path, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    header=np.frombuffer(
-                        json.dumps(header).encode("utf-8"), dtype=np.uint8
-                    ),
-                    exp_start=np.array(
-                        [e.start_slot for e in measurement.experiments], dtype=np.int64
-                    ),
-                    exp_length=np.array(
-                        [e.length for e in measurement.experiments], dtype=np.int64
-                    ),
-                    slot=np.array([p.slot for p in probes], dtype=np.int64),
-                    send_time=np.array([p.send_time for p in probes], dtype=np.float64),
-                    n_packets=np.array([p.n_packets for p in probes], dtype=np.int64),
-                    owds_flat=owds_flat,
-                    owds_offsets=owds_offsets,
-                    owd_before_loss=np.array(
-                        [
-                            float("nan") if p.owd_before_loss is None else p.owd_before_loss
-                            for p in probes
-                        ],
-                        dtype=np.float64,
-                    ),
-                )
-        except OSError as exc:
-            raise TraceFormatError(f"cannot write trace {path}: {exc}") from exc
-
-
-def load_measurement_binary(path: PathLike) -> Measurement:
-    """Read a measurement written by :func:`save_measurement_binary`."""
-    import math
-
-    import numpy as np
-
-    with _profiling.profile_stage("trace.io"):
-        try:
-            with np.load(path) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
-    try:
-        header = json.loads(bytes(arrays["header"]).decode("utf-8"))
-    except (KeyError, ValueError) as exc:
-        raise TraceFormatError(f"{path}: malformed binary trace header") from exc
-    if header.get("type") != BINARY_FORMAT_NAME:
-        raise TraceFormatError(
-            f"{path}: not a {BINARY_FORMAT_NAME} archive (type={header.get('type')!r})"
-        )
-    if header.get("version") != BINARY_FORMAT_VERSION:
-        raise TraceFormatError(
-            f"{path}: unsupported binary trace version {header.get('version')!r}"
-        )
-    try:
-        experiments = [
-            Experiment(int(start), int(length))
-            for start, length in zip(
-                arrays["exp_start"].tolist(), arrays["exp_length"].tolist()
-            )
-        ]
-        offsets = arrays["owds_offsets"].tolist()
-        owds_flat = arrays["owds_flat"].tolist()
-        obl = arrays["owd_before_loss"].tolist()
-        probes = [
-            ProbeRecord(
-                slot=int(slot),
-                send_time=send_time,
-                n_packets=int(n_packets),
-                owds=tuple(owds_flat[offsets[index] : offsets[index + 1]]),
-                owd_before_loss=None if math.isnan(obl[index]) else obl[index],
-            )
-            for index, (slot, send_time, n_packets) in enumerate(
-                zip(
-                    arrays["slot"].tolist(),
-                    arrays["send_time"].tolist(),
-                    arrays["n_packets"].tolist(),
-                )
-            )
-        ]
-    except (KeyError, IndexError, ConfigurationError) as exc:
-        raise TraceFormatError(f"{path}: malformed binary trace body: {exc!r}") from exc
-    return Measurement(
-        slot_width=header["slot_width"],
-        n_slots=header["n_slots"],
-        p=header["p"],
-        experiments=experiments,
-        probes=probes,
-        metadata=header.get("metadata", {}),
-    )
-
-
 def reestimate(
     measurement: Measurement,
     marking: Optional[MarkingConfig] = None,
@@ -563,14 +403,14 @@ def _reestimate_vectorized(
     from repro.core.marking import MarkingResult
     from repro.core.validation import report_from_counter
 
-    arrays = measurement.probe_arrays()
-    starts, lengths = measurement.experiment_arrays()
+    starts, lengths = batch.experiment_arrays(measurement.experiments)
+    # Probes go in trace order: the batch marker rejects an unsorted
+    # stream exactly like the scalar one.
     pipeline = batch.run_slot_pipeline(
         starts,
         lengths,
-        arrays,
-        marking=marking if marking is not None else MarkingConfig(),
-        n_slots=measurement.n_slots,
+        batch.ProbeArrays.from_records(measurement.probes),
+        marking=marking,
     )
     marked = MarkingResult(
         slot_states=pipeline.marking.slot_states_dict(),

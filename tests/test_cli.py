@@ -58,6 +58,15 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("command", ["measure", "sweep"])
+def test_online_commands_have_no_vectorized_flag(command, capsys):
+    # The batch pipeline is offline-only: only `analyze` takes --vectorized.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([command, "episodic_cbr", "--vectorized"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --vectorized" in capsys.readouterr().err
+
+
 def test_measure_improved_flag_parses():
     parser = build_parser()
     args = parser.parse_args(["measure", "harpoon_web", "--improved"])

@@ -228,3 +228,18 @@ def test_reestimate_attaches_full_coverage_on_clean_trace(finished_tool, tmp_pat
     assert result.coverage.complete
     assert result.estimate.coverage is result.coverage
     assert result.validation.coverage is result.coverage
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_reestimate_rejects_out_of_order_trace(finished_tool, tmp_path, vectorized):
+    """Both re-analysis modes refuse a trace whose probes are not in send
+    order, rather than one of them silently re-sorting it."""
+    if vectorized:
+        pytest.importorskip("numpy")
+    measurement = measurement_from_tool(finished_tool)
+    probes = measurement.probes
+    probes[0], probes[1] = probes[1], probes[0]
+    path = tmp_path / "shuffled.jsonl"
+    save_measurement(path, measurement)
+    with pytest.raises(ConfigurationError, match="probes must be sorted by send time"):
+        reestimate(load_measurement(path), vectorized=vectorized)

@@ -90,3 +90,28 @@ def test_experiments_exports_resolve():
 
     for name in experiments.__all__:
         assert getattr(experiments, name) is not None
+
+
+def test_online_measurement_does_not_import_numpy():
+    """numpy serves only the offline batch fold; a measurement run must not
+    pay its import time and resident memory."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    script = (
+        "import sys\n"
+        "from repro.experiments.runner import run_badabing\n"
+        "run_badabing('episodic_cbr', p=0.3, n_slots=400, seed=2, warmup=1.0)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False", "numpy was imported"
