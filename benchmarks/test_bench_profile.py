@@ -6,7 +6,7 @@ wall time over the uninstrumented run — the hot sites pay one ``None``
 check when profiling is off and a couple of clock reads when it is on.
 Second, profiling must never perturb the simulation: the monitored
 registry's snapshot digest is byte-identical with and without an active
-profiler, and the estimates match exactly.
+profiler (span log included), and the estimates match exactly.
 """
 
 from __future__ import annotations
@@ -71,12 +71,14 @@ def test_stage_profiler_overhead_within_budget(archive, bench_record):
         overhead_ratio=ratio,
     )
     # The profiler saw the run: the last profiled repetition covered the
-    # simulation-side stages.
+    # simulation-side stages and the runner's phase frames.
     stages = profiler.stages()
     for stage in ("schedule.generate", "sim.run", "marking.apply",
                   "estimator.fold", "validator.fold"):
         assert stage in stages, f"missing stage {stage} in {sorted(stages)}"
         assert stage in PIPELINE_STAGES
+    for phase in ("testbed.build", "tool.result", "truth.extract"):
+        assert phase in stages, f"missing phase {phase} in {sorted(stages)}"
     # Determinism contract: profiling never perturbs the measurement or
     # the monitored registry — digests are byte-identical either way.
     assert profiled_result.frequency == bare_result.frequency

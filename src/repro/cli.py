@@ -48,7 +48,12 @@ from repro.experiments import tables as _tables
 from repro.experiments.profiles import PROFILES, active_profile
 from repro.experiments.runner import SCENARIOS, run_badabing, run_zing
 from repro.net.faults import FAULT_PROFILES as _FAULT_PROFILES
-from repro.obs import MetricsRegistry, Tracer, write_metrics_document
+from repro.obs import (
+    MetricsRegistry,
+    StageProfiler,
+    profiling,
+    write_metrics_document,
+)
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
@@ -114,7 +119,7 @@ def _export_requested(args: argparse.Namespace) -> bool:
 
 
 def _build_exporter(
-    args: argparse.Namespace, registry, tracer=None, meta=None, default_rules=None
+    args: argparse.Namespace, registry, meta=None, default_rules=None
 ):
     """TelemetryExporter from the --export-* flags, or None when unused."""
     if registry is None or not _export_requested(args):
@@ -133,7 +138,6 @@ def _build_exporter(
         path=args.export_out or None,
         http_port=getattr(args, "export_port", None),
         rules=rules,
-        tracer=tracer,
         meta=meta,
     )
 
@@ -154,28 +158,28 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     n_slots = args.slots if args.slots else profile.n_slots
     keep = {}
     metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = (
-        Tracer(tool="badabing", scenario=args.scenario, seed=args.seed)
+    profiler = (
+        StageProfiler(tool="badabing", scenario=args.scenario, seed=args.seed)
         if args.trace_out
         else None
     )
-    result, truth = run_badabing(
-        args.scenario,
-        p=args.p,
-        n_slots=n_slots,
-        seed=args.seed,
-        improved=args.improved,
-        warmup=profile.warmup,
-        faults=args.faults if args.faults != "none" else None,
-        metrics=metrics,
-        tracer=tracer,
-        keep=keep,
-    )
+    with profiling(profiler):
+        result, truth = run_badabing(
+            args.scenario,
+            p=args.p,
+            n_slots=n_slots,
+            seed=args.seed,
+            improved=args.improved,
+            warmup=profile.warmup,
+            faults=args.faults if args.faults != "none" else None,
+            metrics=metrics,
+            keep=keep,
+        )
     if args.metrics_out:
         write_metrics_document(args.metrics_out, metrics, result.manifest)
         print(f"metrics written to {args.metrics_out}")
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_out)
+    if profiler is not None:
+        profiler.write_jsonl(args.trace_out)
         print(f"trace written to {args.trace_out}")
     if args.audit_out:
         from repro.obs import (
@@ -243,26 +247,26 @@ def _print_degraded_summary(result, injector) -> None:
 def _cmd_zing(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args.profile)
     metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = (
-        Tracer(tool="zing", scenario=args.scenario, seed=args.seed)
+    profiler = (
+        StageProfiler(tool="zing", scenario=args.scenario, seed=args.seed)
         if args.trace_out
         else None
     )
-    result, truth = run_zing(
-        args.scenario,
-        mean_interval=1.0 / args.rate,
-        packet_size=args.size,
-        duration=args.duration if args.duration else profile.tool_duration,
-        seed=args.seed,
-        warmup=profile.warmup,
-        metrics=metrics,
-        tracer=tracer,
-    )
+    with profiling(profiler):
+        result, truth = run_zing(
+            args.scenario,
+            mean_interval=1.0 / args.rate,
+            packet_size=args.size,
+            duration=args.duration if args.duration else profile.tool_duration,
+            seed=args.seed,
+            warmup=profile.warmup,
+            metrics=metrics,
+        )
     if args.metrics_out:
         write_metrics_document(args.metrics_out, metrics, result.manifest)
         print(f"metrics written to {args.metrics_out}")
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_out)
+    if profiler is not None:
+        profiler.write_jsonl(args.trace_out)
         print(f"trace written to {args.trace_out}")
     print(f"scenario={args.scenario} rate={args.rate}Hz size={args.size}B")
     print(f"probes sent: {result.n_sent}  lost: {result.n_lost}")
@@ -303,30 +307,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         RunBudget(max_events=args.max_events) if args.max_events else None
     )
     metrics = MetricsRegistry()
-    tracer = Tracer(tool="badabing-sweep") if args.trace_out else None
-    exporter = _build_exporter(
-        args, metrics, tracer=tracer, meta={"tool": "badabing-sweep"}
-    )
+    profiler = StageProfiler(tool="badabing-sweep") if args.trace_out else None
+    exporter = _build_exporter(args, metrics, meta={"tool": "badabing-sweep"})
     _announce_exporter(exporter, args)
-    try:
-        outcomes = sweep_badabing(
-            cells,
-            budget=budget,
-            metrics=metrics,
-            tracer=tracer,
-            workers=args.workers if args.workers > 1 else None,
-            max_wall_seconds=args.max_wall_seconds if args.max_wall_seconds else None,
-            exporter=exporter,
-            scenario=args.scenario,
-            n_slots=n_slots,
-            warmup=profile.warmup,
-            improved=args.improved,
-        )
-    finally:
-        # Flush the final export record on every exit path, so a sweep
-        # killed by its deadline still leaves a valid snapshot stream.
-        if exporter is not None:
-            exporter.close()
+    with profiling(profiler):
+        try:
+            outcomes = sweep_badabing(
+                cells,
+                budget=budget,
+                metrics=metrics,
+                workers=args.workers if args.workers > 1 else None,
+                max_wall_seconds=(
+                    args.max_wall_seconds if args.max_wall_seconds else None
+                ),
+                exporter=exporter,
+                scenario=args.scenario,
+                n_slots=n_slots,
+                warmup=profile.warmup,
+                improved=args.improved,
+            )
+        finally:
+            # Flush the final export record on every exit path, so a sweep
+            # killed by its deadline still leaves a valid snapshot stream.
+            if exporter is not None:
+                exporter.close()
     scorecard = scorecard_from_outcomes(outcomes)
     # Write requested artifacts before any stdout: a downstream reader
     # closing the pipe (`| head`) must not cost the exported files.
@@ -341,8 +345,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if outcome.ok and getattr(outcome.result, "audit", None) is not None
         ]
         write_audit_document(args.audit_out, audit_document(scorecard, runs=audits))
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_out)
+    if profiler is not None:
+        profiler.write_jsonl(args.trace_out)
     mode = f"{args.workers} workers" if args.workers > 1 else "serial"
     print(
         f"sweep: scenario={args.scenario} cells={len(cells)} "
@@ -358,7 +362,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"metrics written to {args.metrics_out}")
     if args.audit_out:
         print(f"audit written to {args.audit_out}")
-    if tracer is not None:
+    if profiler is not None:
         print(f"trace written to {args.trace_out}")
     if args.export_out:
         print(f"export snapshots written to {args.export_out}")
@@ -776,12 +780,12 @@ def _print_live_result(run, args: argparse.Namespace) -> int:
     return 0
 
 
-def _finish_live_obs(run, metrics, tracer, args: argparse.Namespace) -> None:
+def _finish_live_obs(run, metrics, profiler, args: argparse.Namespace) -> None:
     if args.metrics_out:
         write_metrics_document(args.metrics_out, metrics, run.manifest)
         print(f"metrics written to {args.metrics_out}")
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_out)
+    if profiler is not None:
+        profiler.write_jsonl(args.trace_out)
         print(f"trace written to {args.trace_out}")
     if args.save:
         print(f"trace saved to {args.save}")
@@ -791,24 +795,24 @@ def _cmd_live_send(args: argparse.Namespace) -> int:
     from repro.live import live_send
 
     metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = (
-        Tracer(tool="badabing-live", scenario="live-send", seed=args.seed)
+    profiler = (
+        StageProfiler(tool="badabing-live", scenario="live-send", seed=args.seed)
         if args.trace_out
         else None
     )
-    run = live_send(
-        args.host,
-        args.port,
-        config=_live_config(args),
-        seed=args.seed,
-        registry=metrics,
-        tracer=tracer,
-        budget=_live_budget(args),
-        trace_path=args.save or None,
-        handle_sigint=True,
-    )
+    with profiling(profiler):
+        run = live_send(
+            args.host,
+            args.port,
+            config=_live_config(args),
+            seed=args.seed,
+            registry=metrics,
+            budget=_live_budget(args),
+            trace_path=args.save or None,
+            handle_sigint=True,
+        )
     status = _print_live_result(run, args)
-    _finish_live_obs(run, metrics, tracer, args)
+    _finish_live_obs(run, metrics, profiler, args)
     return status
 
 
@@ -910,23 +914,25 @@ def _cmd_live_loopback(args: argparse.Namespace) -> int:
     from repro.live import live_loopback
 
     metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = (
-        Tracer(tool="badabing-live", scenario="live-loopback", seed=args.seed)
+    profiler = (
+        StageProfiler(
+            tool="badabing-live", scenario="live-loopback", seed=args.seed
+        )
         if args.trace_out
         else None
     )
-    run = live_loopback(
-        config=_live_config(args),
-        seed=args.seed,
-        faults=args.faults if args.faults != "none" else None,
-        registry=metrics,
-        tracer=tracer,
-        budget=_live_budget(args),
-        trace_path=args.save or None,
-        handle_sigint=True,
-    )
+    with profiling(profiler):
+        run = live_loopback(
+            config=_live_config(args),
+            seed=args.seed,
+            faults=args.faults if args.faults != "none" else None,
+            registry=metrics,
+            budget=_live_budget(args),
+            trace_path=args.save or None,
+            handle_sigint=True,
+        )
     status = _print_live_result(run, args)
-    _finish_live_obs(run, metrics, tracer, args)
+    _finish_live_obs(run, metrics, profiler, args)
     return status
 
 

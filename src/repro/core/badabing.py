@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro import profiling as _profiling
 from repro.config import BadabingConfig, MarkingConfig
 from repro.core.clock import AffineClock, Clock, SimClock
 from repro.core.estimators import LossEstimate, estimate_from_outcomes
@@ -32,13 +33,11 @@ from repro.core.schedule import GeometricSchedule
 from repro.core.validation import ValidationReport, validate_outcomes
 from repro.net.node import Host
 from repro.net.simulator import Simulator
-from repro.obs.tracing import trace_span
 from repro.traffic.base import Application, ephemeral_port
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.audit import RunAudit
     from repro.obs.manifest import RunManifest
-    from repro.obs.tracing import Tracer
 
 PROBE_PROTOCOL = "probe"
 
@@ -234,7 +233,6 @@ def assemble_result(
     marker: Optional[CongestionMarker] = None,
     blackout_windows: Optional[List[Tuple[float, float]]] = None,
     duplicate_arrivals: int = 0,
-    tracer: Optional["Tracer"] = None,
 ) -> BadabingResult:
     """Marking + estimation + validation over a joined probe stream.
 
@@ -250,16 +248,13 @@ def assemble_result(
     probes = filter_blackouts(probes, blackout_windows)
     if marker is None:
         marker = CongestionMarker(config.marking)
-    with trace_span(tracer, "probe.mark", n_probes=len(probes)):
-        marked = marker.mark(probes)
+    marked = marker.mark(probes)
     outcomes = schedule.outcomes_from_states(marked.slot_states)
     coverage = schedule.coverage_from_states(marked.slot_states)
-    with trace_span(tracer, "probe.estimate"):
-        estimate = estimate_from_outcomes(
-            outcomes, improved=config.improved, coverage=coverage
-        )
-    with trace_span(tracer, "probe.validate"):
-        validation = validate_outcomes(outcomes, coverage=coverage)
+    estimate = estimate_from_outcomes(
+        outcomes, improved=config.improved, coverage=coverage
+    )
+    validation = validate_outcomes(outcomes, coverage=coverage)
     return BadabingResult(
         estimate=estimate,
         validation=validation,
@@ -295,12 +290,10 @@ class BadabingTool:
         sender_clock: Optional[AffineClock] = None,
         receiver_clock: Optional[AffineClock] = None,
         rng_label: str = "badabing",
-        tracer: Optional["Tracer"] = None,
     ):
         self.sim = sim
         self.config = config if config is not None else BadabingConfig()
         self.start = start
-        self.tracer = tracer
         self._loss_recorded = False
         cfg = self.config
         self.schedule = GeometricSchedule(
@@ -413,7 +406,7 @@ class BadabingTool:
         :class:`~repro.errors.EstimationError` carrying the coverage.
         """
         if probes is None:
-            with trace_span(self.tracer, "probe.join"):
+            with _profiling.profile_stage("probe.join"):
                 probes = self.probe_records()
         probes = filter_blackouts(probes, blackout_windows)
         if not self._loss_recorded and self.sim.metrics.enabled:
@@ -430,5 +423,4 @@ class BadabingTool:
             self.config,
             marker=marker,
             duplicate_arrivals=self.receiver.duplicate_arrivals,
-            tracer=self.tracer,
         )

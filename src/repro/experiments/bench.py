@@ -5,10 +5,9 @@ process-parallel sweep, live loopback — with sizes pinned *in the suite
 definition* (independent of ``REPRO_PROFILE``), so successive
 ``BENCH_<suite>.json`` documents are comparable points on one perf
 trajectory. Every scenario runs under a fresh
-:class:`~repro.obs.profile.StageProfiler`; the parallel-sweep scenario
-additionally profiles inside the worker shards
-(``sweep_badabing(profiled=True)``) and recovers their stage stats from
-the merged registry's published ``profile.*`` instruments.
+:class:`~repro.obs.profile.StageProfiler`; the parallel-sweep scenario's
+workers profile their cells too, and the sweep absorbs their snapshots
+into that profiler.
 
 Wall-clock numbers here are measurement artifacts, not simulation state:
 nothing this module records ever enters a monitored registry's snapshot,
@@ -28,11 +27,7 @@ from repro.errors import ConfigurationError
 from repro.obs.bench import make_bench_document
 from repro.obs.manifest import config_digest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import (
-    StageProfiler,
-    merge_stage_maps,
-    stages_from_registry,
-)
+from repro.obs.profile import StageProfiler
 from repro.profiling import profiling
 
 #: Scenario kinds the suite runner knows how to execute.
@@ -163,9 +158,7 @@ def _run_parallel_sweep(cells, workers=2, **common) -> Dict[str, Any]:
     from repro.experiments.runner import sweep_badabing
 
     registry = MetricsRegistry()
-    outcomes = sweep_badabing(
-        cells, metrics=registry, workers=workers, profiled=True, **common
-    )
+    outcomes = sweep_badabing(cells, metrics=registry, workers=workers, **common)
     failed = [o.label for o in outcomes if not o.ok]
     if failed:
         raise ConfigurationError(
@@ -179,10 +172,6 @@ def _run_parallel_sweep(cells, workers=2, **common) -> Dict[str, Any]:
         "probes_sent": sum(
             o.result.n_probes_sent for o in outcomes if o.ok
         ),
-        # Worker-shard stage stats come back through the merged registry's
-        # published profile.* instruments (the merge itself is profiled on
-        # the parent's profiler).
-        "worker_stages": stages_from_registry(snapshot),
     }
 
 
@@ -221,16 +210,12 @@ def run_scenario(scenario: BenchScenario) -> Dict[str, Any]:
     with profiling(profiler):
         extra = runner(**scenario.kwargs)
     wall = time.perf_counter() - started
-    stages = profiler.stages()
-    worker_stages = extra.pop("worker_stages", None)
-    if worker_stages:
-        stages = merge_stage_maps(stages, worker_stages)
     entry: Dict[str, Any] = {
         "wall_seconds": wall,
         "config_digest": config_digest(
             {"name": scenario.name, "kind": scenario.kind, **scenario.kwargs}
         ),
-        "stages": stages,
+        "stages": profiler.stages(),
         "edges": profiler.edges(),
     }
     entry.update(extra)

@@ -8,12 +8,13 @@ used to execute serially. This module dispatches prepared cells to a
 sweep is **byte-identical** to the serial one on the same seeds:
 
 * every cell runs under its *own* fresh
-  :class:`~repro.obs.metrics.MetricsRegistry` and (when tracing) its own
-  :class:`~repro.obs.tracing.Tracer` shard inside the worker — no shared
-  mutable state crosses a process boundary during the run;
+  :class:`~repro.obs.metrics.MetricsRegistry` and (when the parent is
+  profiling) its own :class:`~repro.obs.profile.StageProfiler` inside the
+  worker — no shared mutable state crosses a process boundary during the
+  run;
 * the parent merges the per-cell registries with
-  :meth:`MetricsRegistry.merge` and absorbs the trace shards **in cell
-  order**, regardless of completion order, so the merged snapshot is a
+  :meth:`MetricsRegistry.merge` and absorbs the profiler snapshots **in
+  cell order**, regardless of completion order, so the merged snapshot is a
   pure function of the cell list and seeds (the serial path performs the
   exact same per-cell-registry + ordered-merge dance);
 * outcomes come back as the same ordered
@@ -41,17 +42,15 @@ from __future__ import annotations
 import time
 import traceback
 from concurrent.futures import CancelledError, ProcessPoolExecutor
-from contextlib import nullcontext
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import profiling as _profiling
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry, NullRegistry
-from repro.obs.tracing import Tracer, trace_span
-from repro.profiling import profiling
 
 #: How many times one cell may be the observed victim of a broken pool
 #: before it is permanently failed. Two lets an *innocent* cell that was
@@ -72,8 +71,8 @@ class CellPayload:
 
     ``runner`` is an importable top-level callable (``None`` means
     :func:`~repro.experiments.runner.run_badabing`); ``kwargs`` must not
-    contain live objects (``metrics``/``tracer``/``keep``) — the caller
-    validates that before building payloads.
+    contain live objects (``metrics``/``keep``) — the caller validates
+    that before building payloads.
     """
 
     index: int
@@ -82,14 +81,10 @@ class CellPayload:
     kwargs: Dict[str, Any]
     budget: Optional[Any] = None
     metrics_mode: str = METRICS_NONE
-    with_tracer: bool = False
-    #: When True (and the cell registry is live), the worker runs its cell
-    #: under a :class:`~repro.obs.profile.StageProfiler` and publishes the
-    #: stage stats as ``profile.*`` instruments on the cell registry, so
-    #: the parent's ordered ``merge(series_labels=)`` aggregates them
-    #: across shards (bench suites only — published stage timings are
-    #: wall-clock, so profiled registries are not digest-deterministic).
-    with_profiler: bool = False
+    #: True when the parent has an active profiler: the worker then runs
+    #: its cell under its own :class:`~repro.obs.profile.StageProfiler`
+    #: and sends back its snapshot for the parent to absorb.
+    timed: bool = False
     runner: Optional[Callable[..., Any]] = None
 
 
@@ -100,13 +95,14 @@ class CellResult:
     index: int
     outcome: Any
     registry: Optional[MetricsRegistry] = None
-    spans: List[Dict[str, Any]] = field(default_factory=list)
+    #: The worker profiler's snapshot (stages, edges, spans), if timed.
+    profile: Optional[Dict[str, Any]] = None
 
 
 def run_cell(payload: CellPayload) -> CellResult:
     """Worker entry point: run one protected cell in a child process.
 
-    Builds the cell's private registry/tracer, runs the protected cell
+    Builds the cell's private registry/profiler, runs the protected cell
     exactly as the serial path would, then detaches the registry's
     collectors (they close over the finished simulator and cannot be
     pickled) so the result is a plain data bundle.
@@ -122,19 +118,15 @@ def run_cell(payload: CellPayload) -> CellResult:
     kwargs = dict(payload.kwargs)
     if registry is not None and _runner.accepts_kwarg(fn, "metrics"):
         kwargs["metrics"] = registry
-    tracer = (
-        Tracer(shard="sweep-worker", cell=payload.label)
-        if payload.with_tracer
-        else None
-    )
     profiler = None
-    if payload.with_profiler and registry is not None and registry.enabled:
+    if payload.timed:
         from repro.obs.profile import StageProfiler
 
         profiler = StageProfiler()
-    scope = profiling(profiler) if profiler is not None else nullcontext()
-    with trace_span(tracer, "sweep.cell", label=payload.label, seed=payload.seed):
-        with scope:
+    with _profiling.profiling(profiler):
+        with _profiling.profile_stage(
+            "sweep.cell", label=payload.label, seed=payload.seed
+        ):
             outcome = _runner.run_protected(
                 fn,
                 label=payload.label,
@@ -142,15 +134,13 @@ def run_cell(payload: CellPayload) -> CellResult:
                 budget=payload.budget,
                 **kwargs,
             )
-    if profiler is not None:
-        profiler.publish(registry)
     if registry is not None:
         registry.detach_collectors()
     return CellResult(
         index=payload.index,
         outcome=outcome,
         registry=registry if payload.metrics_mode == METRICS_FRESH else None,
-        spans=list(tracer.spans) if tracer is not None else [],
+        profile=profiler.snapshot() if profiler is not None else None,
     )
 
 
@@ -220,16 +210,16 @@ def execute_parallel_sweep(
     payloads: Sequence[CellPayload],
     workers: int,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     max_wall_seconds: Optional[float] = None,
     exporter=None,
 ) -> List[Any]:
     """Run prepared cells across ``workers`` processes; merge in cell order.
 
     Returns one ``RunOutcome`` per payload, in payload order. Per-cell
-    registries are merged into ``metrics`` and trace shards absorbed into
-    ``tracer`` strictly in cell order as each cell is finalized, so the
-    parent's merged state is independent of completion order.
+    registries are merged into ``metrics`` and worker profiler snapshots
+    absorbed into the active profiler (each span tagged ``cell=<label>``)
+    strictly in cell order as each cell is finalized, so the parent's
+    merged state is independent of completion order.
 
     ``exporter`` (when given) emits one ``kind="progress"`` snapshot per
     finalized cell; the record envelope carries the cell label and status
@@ -269,8 +259,9 @@ def execute_parallel_sweep(
                         metrics.merge(
                             cell.registry, series_labels={"cell": payload.label}
                         )
-                    if tracer is not None and cell.spans:
-                        tracer.absorb(cell.spans)
+                    prof = _profiling.ACTIVE
+                    if prof is not None and cell.profile is not None:
+                        prof.absorb(cell.profile, cell=payload.label)
                     outcomes[payload.index] = cell.outcome
                 elif status == "deadline":
                     outcomes[payload.index] = deadline_outcome(

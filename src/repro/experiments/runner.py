@@ -48,14 +48,11 @@ from repro.obs.audit import (
 )
 from repro.obs.manifest import RunManifest, config_digest, summarize_snapshot
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer, trace_span
+from repro.profiling import profile_stage
 
 #: Extra simulated time after the measurement window so in-flight packets
 #: drain and the tools' logs are complete.
 DRAIN_TIME = 2.0
-
-#: The heartbeat emits at most this many progress events per run.
-HEARTBEAT_BEATS = 8
 
 #: Registry of named scenarios usable by tables, benches, and the CLI.
 SCENARIOS: Dict[str, Callable[..., Any]] = {
@@ -93,31 +90,6 @@ def _build_manifest(
         events_processed=sim.events_processed,
         metrics=summarize_snapshot(sim.metrics.snapshot()),
     )
-
-
-def _start_heartbeat(sim: Simulator, tracer: Optional[Tracer], until: float) -> None:
-    """Emit periodic sim-time progress events while a run executes.
-
-    A long simulation is silent between the ``sim.run`` span's start and
-    end; the heartbeat marks simulated-time progress (and the event count
-    at each beat) so a stalled run is distinguishable from a slow one in
-    the trace. A no-op without a tracer — the simulation schedule gains no
-    extra events, preserving clean-path determinism.
-    """
-    if tracer is None or until <= 0:
-        return
-    interval = until / HEARTBEAT_BEATS
-
-    def beat() -> None:
-        tracer.event(
-            "sim.heartbeat",
-            sim_time=round(sim.now, 9),
-            events_processed=sim.events_processed,
-        )
-        if sim.now + interval <= until:
-            sim.schedule(interval, beat)
-
-    sim.schedule(interval, beat)
 
 
 def apply_scenario(
@@ -303,7 +275,6 @@ def run_badabing(
     faults: Union[str, FaultProfile, None] = None,
     max_events: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     keep: Optional[Dict[str, Any]] = None,
 ) -> Tuple[BadabingResult, GroundTruth]:
     """Full BADABING experiment: returns (tool result, ground truth).
@@ -321,18 +292,19 @@ def run_badabing(
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) collects
     the run's telemetry — on by default, pass a
-    :class:`~repro.obs.metrics.NullRegistry` to disable; ``tracer``
-    records wall-clock spans around each phase. The returned result
-    carries a :class:`~repro.obs.manifest.RunManifest`.
+    :class:`~repro.obs.metrics.NullRegistry` to disable. Under an active
+    :class:`~repro.obs.profile.StageProfiler` each phase is a profiler
+    frame. The returned result carries a
+    :class:`~repro.obs.manifest.RunManifest`.
     """
     probe_cfg = probe if probe is not None else ProbeConfig()
     marking_cfg = marking if marking is not None else default_marking_for(p, probe_cfg.slot)
     config = BadabingConfig(
         probe=probe_cfg, marking=marking_cfg, p=p, n_slots=n_slots, improved=improved
     )
-    with trace_span(tracer, "testbed.build", seed=seed):
+    with profile_stage("testbed.build", seed=seed):
         sim, testbed = build_testbed(seed=seed, config=testbed_config, metrics=metrics)
-    with trace_span(tracer, "traffic.start", scenario=scenario):
+    with profile_stage("traffic.start", scenario=scenario):
         traffic = apply_scenario(sim, testbed, scenario, **(scenario_kwargs or {}))
     tool = BadabingTool(
         sim,
@@ -343,14 +315,11 @@ def run_badabing(
         jitter=jitter,
         sender_clock=sender_clock,
         receiver_clock=receiver_clock,
-        tracer=tracer,
     )
     injector = install_faults(sim, testbed, faults, anchor=warmup)
-    _start_heartbeat(sim, tracer, until=tool.end_time + DRAIN_TIME)
-    with trace_span(tracer, "sim.run", until=tool.end_time + DRAIN_TIME):
-        dispatched = sim.run(until=tool.end_time + DRAIN_TIME, max_events=max_events)
+    dispatched = sim.run(until=tool.end_time + DRAIN_TIME, max_events=max_events)
     _check_event_budget(sim, dispatched, max_events, tool.end_time + DRAIN_TIME)
-    with trace_span(tracer, "truth.extract"):
+    with profile_stage("truth.extract"):
         truth = compute_ground_truth(testbed, probe_cfg.slot, warmup, config.duration)
     # A real collector knows when it was down (its own restart log); feed
     # the known outage windows back so those slots degrade coverage instead
@@ -360,10 +329,10 @@ def run_badabing(
         if injector is not None and injector.profile.outage_windows
         else None
     )
-    with trace_span(tracer, "tool.result"):
+    with profile_stage("tool.result"):
         result = tool.result(blackout_windows=blackouts)
     if sim.metrics.enabled:
-        with trace_span(tracer, "audit.build"):
+        with profile_stage("audit.build"):
             result.audit = audit_run(result, truth, tool.schedule, start=warmup)
             publish_audit(sim.metrics, result.audit, start=warmup)
     result.manifest = _build_manifest(
@@ -476,7 +445,6 @@ def run_zing(
     warmup: float = 10.0,
     max_events: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     keep: Optional[Dict[str, Any]] = None,
 ) -> Tuple[ZingResult, GroundTruth]:
     """Full ZING experiment: returns (tool result, ground truth).
@@ -488,9 +456,9 @@ def run_zing(
     Poisson baseline can run under the same :class:`RunBudget` protection
     as the tool it is compared against.
     """
-    with trace_span(tracer, "testbed.build", seed=seed):
+    with profile_stage("testbed.build", seed=seed):
         sim, testbed = build_testbed(seed=seed, config=testbed_config, metrics=metrics)
-    with trace_span(tracer, "traffic.start", scenario=scenario):
+    with profile_stage("traffic.start", scenario=scenario):
         traffic = apply_scenario(sim, testbed, scenario, **(scenario_kwargs or {}))
     tool = ZingTool(
         sim,
@@ -501,14 +469,11 @@ def run_zing(
         duration=duration,
         start=warmup,
     )
-    with trace_span(tracer, "sim.run", until=warmup + duration + DRAIN_TIME):
-        dispatched = sim.run(
-            until=warmup + duration + DRAIN_TIME, max_events=max_events
-        )
+    dispatched = sim.run(until=warmup + duration + DRAIN_TIME, max_events=max_events)
     _check_event_budget(sim, dispatched, max_events, warmup + duration + DRAIN_TIME)
-    with trace_span(tracer, "truth.extract"):
+    with profile_stage("truth.extract"):
         truth = compute_ground_truth(testbed, slot, warmup, duration)
-    with trace_span(tracer, "tool.result"):
+    with profile_stage("tool.result"):
         result = tool.result()
     result.manifest = _build_manifest("zing", seed, sim, testbed.config)
     if keep is not None:
@@ -745,11 +710,9 @@ def sweep_badabing(
     cells: Sequence[Dict[str, Any]],
     budget: Optional[RunBudget] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     workers: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
     exporter=None,
-    profiled: bool = False,
     **common: Any,
 ) -> List[RunOutcome]:
     """Run a whole grid of BADABING cells, never dying on one of them.
@@ -762,10 +725,10 @@ def sweep_badabing(
 
     ``workers`` > 1 dispatches cells to a spawn-based process pool (see
     :mod:`repro.experiments.parallel`). Each cell runs under its own
-    registry and trace shard — in *both* modes — and the shards are merged
-    into ``metrics``/``tracer`` strictly in cell order, so the parallel
-    sweep's outcome list, merged metrics snapshot, and scorecard are
-    byte-identical to the serial run on the same seeds. A worker that dies
+    registry — in *both* modes — and the shards are merged into
+    ``metrics`` strictly in cell order, so the parallel sweep's outcome
+    list, merged metrics snapshot, and scorecard are byte-identical to
+    the serial run on the same seeds. A worker that dies
     hard (segfault, OOM-kill, unpicklable result) becomes a structured
     failed outcome for its cell instead of killing the sweep.
 
@@ -776,7 +739,11 @@ def sweep_badabing(
 
     When ``metrics`` is given the sweep also records per-status cell
     counts and retry totals (``sweep.cells{status=...}``,
-    ``sweep.retries``); ``tracer`` gains one ``sweep.cell`` span per cell.
+    ``sweep.retries``). Under an active
+    :class:`~repro.obs.profile.StageProfiler` every cell is one
+    ``sweep.cell`` frame; parallel workers profile their cell under their
+    own profiler and the parent absorbs the snapshots in cell order, so
+    per-stage call counts match the serial sweep.
 
     ``exporter`` (a :class:`~repro.obs.export.TelemetryExporter` over the
     same ``metrics`` registry) gets one ``kind="progress"`` snapshot per
@@ -784,22 +751,16 @@ def sweep_badabing(
     streams per-cell progress instead of going dark until it returns.
     Progress records live in the export envelope only; they never touch
     the registry, so serial-vs-parallel digest equivalence is unaffected.
-
-    ``profiled`` runs every cell under its own
-    :class:`~repro.obs.profile.StageProfiler` and publishes the stage
-    stats as ``profile.*`` instruments on the cell registry before the
-    ordered merge — identically in serial and parallel modes, so the
-    aggregated stage *call counts* still match across modes (stage
-    *seconds* are wall-clock and machine-dependent). Bench suites only:
-    a profiled registry's snapshot digest is no longer seed-deterministic.
     """
     prepared = _prepare_cells(cells, common)
     if workers is not None and workers > 1:
+        from repro import profiling as _profiling
         from repro.experiments.parallel import CellPayload, execute_parallel_sweep
 
+        timed = _profiling.ACTIVE is not None
         payloads = []
         for index, label, seed, merged in prepared:
-            live = sorted(k for k in ("metrics", "tracer", "keep") if k in merged)
+            live = sorted(k for k in ("metrics", "keep") if k in merged)
             if live:
                 raise ConfigurationError(
                     f"cell {label!r}: per-cell {'/'.join(live)} objects cannot "
@@ -819,15 +780,13 @@ def sweep_badabing(
                     kwargs=merged,
                     budget=budget,
                     metrics_mode=mode,
-                    with_tracer=tracer is not None,
-                    with_profiler=profiled,
+                    timed=timed,
                 )
             )
         outcomes = execute_parallel_sweep(
             payloads,
             workers=workers,
             metrics=metrics,
-            tracer=tracer,
             max_wall_seconds=max_wall_seconds,
             exporter=exporter,
         )
@@ -855,28 +814,10 @@ def sweep_badabing(
 
                 cell_registry = MetricsRegistry() if metrics.enabled else NullRegistry()
                 merged = dict(merged, metrics=cell_registry)
-            cell_profiler = None
-            if profiled and cell_registry is not None and cell_registry.enabled:
-                from repro.obs.profile import StageProfiler
-                from repro.profiling import profiling as profiling_scope
-
-                cell_profiler = StageProfiler()
-            with trace_span(tracer, "sweep.cell", label=label, seed=seed):
-                if cell_profiler is not None:
-                    with profiling_scope(cell_profiler):
-                        outcome = run_protected(
-                            run_badabing,
-                            label=label,
-                            seed=seed,
-                            budget=budget,
-                            **merged,
-                        )
-                else:
-                    outcome = run_protected(
-                        run_badabing, label=label, seed=seed, budget=budget, **merged
-                    )
-            if cell_profiler is not None:
-                cell_profiler.publish(cell_registry)
+            with profile_stage("sweep.cell", label=label, seed=seed):
+                outcome = run_protected(
+                    run_badabing, label=label, seed=seed, budget=budget, **merged
+                )
             if cell_registry is not None and metrics is not None:
                 metrics.merge(cell_registry, series_labels={"cell": label})
         outcomes.append(outcome)

@@ -6,8 +6,8 @@ Four pieces, usable separately or together:
   counters/gauges/histograms plus bounded time-series samplers. On by
   default throughout the substrate; pass :class:`NullRegistry` to run at
   pre-instrumentation speed. Snapshots are deterministic for a fixed seed.
-* :mod:`repro.obs.tracing` — wall-clock :func:`trace_span` spans around
-  the expensive phases of a run, exported as JSONL.
+* :mod:`repro.obs.profile` — the :class:`StageProfiler`: per-stage wall
+  timings plus a span log of the run's phases, exported as JSONL.
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records
   (seed, config digest, version, timings, headline metrics) attached to
   runner results.
@@ -105,15 +105,10 @@ from repro.obs.profile import (
     PIPELINE_STAGES,
     PROFILE_SCHEMA,
     STAGE_BUCKETS,
-    NullProfiler,
-    StackSampler,
+    TRACE_SCHEMA,
     StageProfiler,
-    active_profiler,
-    merge_stage_maps,
     profile_stage,
     profiling,
-    set_active_profiler,
-    stages_from_registry,
 )
 from repro.obs.schema import (
     METRICS_SCHEMA,
@@ -136,7 +131,6 @@ from repro.obs.summary import (
     split_snapshot_by_path,
     summary_document,
 )
-from repro.obs.tracing import TRACE_SCHEMA, Tracer, trace_span
 
 __all__ = [
     "Counter",
@@ -145,8 +139,6 @@ __all__ = [
     "Series",
     "MetricsRegistry",
     "NullRegistry",
-    "Tracer",
-    "trace_span",
     "RunManifest",
     "config_digest",
     "summarize_snapshot",
@@ -218,14 +210,8 @@ __all__ = [
     "PIPELINE_STAGES",
     "STAGE_BUCKETS",
     "StageProfiler",
-    "NullProfiler",
-    "StackSampler",
-    "active_profiler",
-    "set_active_profiler",
     "profiling",
     "profile_stage",
-    "merge_stage_maps",
-    "stages_from_registry",
     "BenchRecorder",
     "environment_fingerprint",
     "peak_rss_bytes",

@@ -44,6 +44,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import profiling as _profiling
 from repro.errors import ObservabilityError
 from repro.obs.alerts import AlertRule, AlertRules
 from repro.obs.artifacts import ensure_parent_dir
@@ -156,9 +157,6 @@ class TelemetryExporter:
     rules:
         Declarative :class:`~repro.obs.alerts.AlertRule` list evaluated
         on every export against the fresh snapshot.
-    tracer:
-        Optional tracer receiving ``alert.fired``/``alert.resolved``
-        events and ``export.*`` markers.
     meta:
         Static context (tool name, fleet size, …) copied into every
         record envelope and the ``/healthz`` document.
@@ -175,7 +173,6 @@ class TelemetryExporter:
         http_host: str = "127.0.0.1",
         http_port: Optional[int] = None,
         rules: Sequence[AlertRule] = (),
-        tracer=None,
         meta: Optional[Dict[str, Any]] = None,
         max_bytes: int = 16_000_000,
         clock=time.monotonic,
@@ -186,13 +183,12 @@ class TelemetryExporter:
         self.registry = registry
         self.enabled = bool(getattr(registry, "enabled", False))
         self.interval = float(interval)
-        self.tracer = tracer
         self.meta = dict(meta or {})
         #: Side registry owning alert gauges + export bookkeeping. Never
         #: merged into the monitored registry: its contents are wall-clock
         #: shaped and would break same-seed snapshot digests.
         self.own: MetricsRegistry = MetricsRegistry() if self.enabled else NullRegistry()
-        self.rules = AlertRules(rules, registry=self.own, tracer=tracer)
+        self.rules = AlertRules(rules, registry=self.own)
         self.seq = 0
         self.last_record: Optional[Dict[str, Any]] = None
         self.http_host = http_host
@@ -274,10 +270,9 @@ class TelemetryExporter:
                 self._serve_connection, self.http_host, self.http_port
             )
             self.http_port = self._server.sockets[0].getsockname()[1]
-            if self.tracer is not None:
-                self.tracer.event(
-                    "export.http_started", host=self.http_host, port=self.http_port
-                )
+            _profiling.event(
+                "export.http_started", host=self.http_host, port=self.http_port
+            )
         if self._task is None:
             self._task = asyncio.get_running_loop().create_task(self._periodic())
         return self
@@ -334,8 +329,7 @@ class TelemetryExporter:
         self._closed = True
         if self._writer is not None:
             self._writer.close()
-        if self.tracer is not None:
-            self.tracer.event("export.closed", seq=self.seq)
+        _profiling.event("export.closed", seq=self.seq)
 
     @property
     def closed(self) -> bool:

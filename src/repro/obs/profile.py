@@ -1,40 +1,39 @@
 """Deterministic stage profiler for the measurement pipeline.
 
-Two complementary modes, both zero-dependency:
+:class:`StageProfiler` is the repo's one timing primitive. The pipeline's
+named stages — ``schedule.generate``, ``sim.run``, ``queue.service``,
+``marking.apply``, ``estimator.fold``, ``validator.fold``,
+``wire.encode``/``wire.decode``, ``trace.io``, ``registry.merge`` — and
+the runners' phases (``testbed.build``, ``traffic.start``,
+``truth.extract``, ``tool.result``, ``sweep.cell``, ``live.session``, …)
+carry lightweight monotonic-clock timers that attribute *self* time
+(stage minus its children) and *cumulative* time (whole stage,
+reentrancy-aware) per stage, bucket every call into a fixed-bound
+histogram, and record parent→child edges for call-tree rendering.
 
-* **Scoped stage timers** (:class:`StageProfiler`): the pipeline's named
-  stages — ``schedule.generate``, ``sim.run``, ``queue.service``,
-  ``marking.apply``, ``estimator.fold``, ``validator.fold``,
-  ``wire.encode``/``wire.decode``, ``trace.io``, ``registry.merge`` —
-  carry lightweight monotonic-clock timers that attribute *self* time
-  (stage minus its children) and *cumulative* time (whole stage,
-  reentrancy-aware) per stage, bucket every call into a fixed-bound
-  histogram, and record parent→child edges for call-tree rendering.
-* **Interval sampling** (:class:`StackSampler`): a daemon thread
-  periodically walks the target thread's Python stack via
-  ``sys._current_frames`` and accumulates self/cumulative sample counts
-  per function — coverage for code no scoped timer instruments.
+Every scoped frame also appends one span record (``type``, ``name``,
+``t0``, ``dur``, ``parent``, ``attrs``) to :attr:`StageProfiler.spans`;
+:meth:`StageProfiler.write_jsonl` writes them as a ``repro.obs.trace/1``
+file (``--trace-out``). Leaf :meth:`~StageProfiler.record` /
+:meth:`~StageProfiler.leaf` sites stay span-free, so per-packet hot paths
+pay only their stage-stat bookkeeping.
 
 Determinism contract (DESIGN.md §14): profiling must never perturb
 metric snapshot digests. A profiler keeps all of its wall-clock state on
-*itself*; it only touches a :class:`~repro.obs.metrics.MetricsRegistry`
-when :meth:`StageProfiler.publish` is called explicitly (bench shards
-use this to ride the existing ``merge(series_labels=)`` aggregation),
-and publication is **assignment-based** — the registered collector
-overwrites ``profile.*`` instruments with the profiler's totals instead
-of replaying observations, so repeated collect/snapshot/merge cycles
-(exporter scrapes, shard merges) can never double-count.
+*itself* and never writes into a :class:`~repro.obs.metrics.MetricsRegistry`;
+worker shards hand their :meth:`~StageProfiler.snapshot` back to the
+parent, which :meth:`~StageProfiler.absorb`\\ s it.
 
 The process-global activation plumbing (:data:`~repro.profiling.ACTIVE`,
-:func:`~repro.profiling.profiling`, :func:`~repro.profiling.profile_stage`)
-lives in :mod:`repro.profiling` so hot modules can import it without the
-``repro.obs`` package cycle; it is re-exported here.
+:func:`~repro.profiling.profiling`, :func:`~repro.profiling.profile_stage`,
+:func:`~repro.profiling.event`) lives in :mod:`repro.profiling` so hot
+modules can import it without the ``repro.obs`` package cycle; it is
+re-exported here.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
+import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
@@ -43,13 +42,15 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.errors import ObservabilityError
 from repro.profiling import (  # noqa: F401  (re-exported API surface)
     STAGE_BUCKETS,
-    active_profiler,
+    event,
     profile_stage,
     profiling,
-    set_active_profiler,
 )
 
 PROFILE_SCHEMA = "repro.obs.profile/1"
+
+#: Schema identifier stamped into the trace meta line.
+TRACE_SCHEMA = "repro.obs.trace/1"
 
 #: The pipeline stages the substrate instruments out of the box. Kept as
 #: one canonical tuple so tests and the bench document can assert
@@ -103,21 +104,28 @@ class _StageStat:
 
 
 class StageProfiler:
-    """Scoped stage timer with self/cumulative attribution.
+    """Scoped stage timer with self/cumulative attribution and a span log.
 
-    Frames are plain lists (``[name, start, child_seconds]``) handed back
-    from :meth:`start` and consumed by :meth:`stop`; the hot-path cost of
-    an instrumented stage is two monotonic clock reads plus a handful of
-    arithmetic ops. Not thread-safe by design — one profiler per thread
-    (the pipeline is single-threaded per cell); the sampler covers
-    threads.
+    Frames are plain lists (``[name, start, child_seconds, parent_frame,
+    attrs]``) handed back from :meth:`start` and consumed by :meth:`stop`;
+    the cost of an instrumented stage is two monotonic clock reads, a
+    handful of arithmetic ops and one span record. Not thread-safe by
+    design — one profiler per thread (the pipeline is single-threaded per
+    cell) — except :meth:`event`, which never touches the frame stack.
+    ``meta`` (tool, scenario, seed, …) goes into the trace meta line.
     """
 
-    enabled = True
-
-    def __init__(self, clock=perf_counter):
+    def __init__(self, clock=perf_counter, **meta: Any):
         self._clock = clock
+        self.meta: Dict[str, Any] = dict(meta)
+        #: Finished span and event records, in completion order.
+        self.spans: List[Dict[str, Any]] = []
+        #: Clock reading span ``t0`` values are relative to: the first
+        #: frame's start (set lazily so injected clocks see no extra read).
+        self._epoch: Optional[float] = None
         self._stack: List[list] = []
+        #: Frames that left the stack while still open (see :meth:`stop`).
+        self._detached: List[list] = []
         self._stats: Dict[str, _StageStat] = {}
         self._edges: Dict[Tuple[str, str], List[float]] = {}
         self._depth: Dict[str, int] = {}
@@ -125,57 +133,62 @@ class StageProfiler:
         self._leaf_accs: List[tuple] = []
 
     # ------------------------------------------------------------- timing
-    def start(self, name: str) -> list:
+    def start(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> list:
         """Open a stage frame. Pair with :meth:`stop` in a finally block."""
         self._depth[name] = self._depth.get(name, 0) + 1
-        frame = [name, 0.0, 0.0]
-        self._stack.append(frame)
+        stack = self._stack
+        frame = [name, 0.0, 0.0, stack[-1] if stack else None, attrs]
+        stack.append(frame)
         # Clock read last so profiler bookkeeping lands in the parent's
         # self time, not the child's.
         frame[1] = self._clock()
+        if self._epoch is None:
+            self._epoch = frame[1]
         return frame
 
     def stop(self, frame: list) -> float:
         """Close ``frame``; returns its wall duration in seconds.
 
-        Tolerates exception unwinding that abandoned frames above this
-        one (they are discarded without recording) and ignores a frame
-        that was already stopped.
+        Frames still open above ``frame`` are *detached*: they leave the
+        stack, so new frames stop nesting under them, and are recorded
+        if and when their own stop() runs. That covers interleaved async
+        frames (session A starts, B starts, A stops, B stops) and
+        exception unwinding alike — a frame abandoned by an exception is
+        simply never recorded. A frame already stopped is ignored.
         """
         now = self._clock()
         stack = self._stack
-        for open_frame in stack:
-            if open_frame is frame:
-                break
+        name = frame[0]
+        if any(open_frame is frame for open_frame in stack):
+            while True:
+                top = stack.pop()
+                if top is frame:
+                    break
+                self._depth[top[0]] -= 1
+                self._detached.append(top)
+            depth = self._depth[name] - 1
+            self._depth[name] = depth
         else:
-            return 0.0
-        abandoned: List[list] = []
-        while stack:
-            top = stack.pop()
-            if top is frame:
-                break
-            # Abandoned by an exception before its own stop() could run:
-            # drop it, but keep the reentrancy depth bookkeeping honest.
-            self._depth[top[0]] = self._depth.get(top[0], 1) - 1
-            abandoned.append(top)
+            for index, open_frame in enumerate(self._detached):
+                if open_frame is frame:
+                    del self._detached[index]
+                    break
+            else:
+                return 0.0
+            depth = self._depth.get(name, 0)
         if self._leaf_accs:
             # Fold leaf accumulators whose parent frame is closing; their
             # total lands in frame[2] (child time) before self is computed.
             keep = []
             for parent, leaf_name, acc in self._leaf_accs:
-                if parent is frame or any(parent is top for top in abandoned):
-                    total = self._fold_leaf(parent[0], leaf_name, acc)
-                    if parent is frame:
-                        frame[2] += total
+                if parent is frame:
+                    frame[2] += self._fold_leaf(name, leaf_name, acc)
                 else:
                     keep.append((parent, leaf_name, acc))
             self._leaf_accs[:] = keep
-        name = frame[0]
         duration = now - frame[1]
         if duration < 0.0:
             duration = 0.0
-        depth = self._depth.get(name, 1) - 1
-        self._depth[name] = depth
         stat = self._stats.get(name)
         if stat is None:
             stat = self._stats[name] = _StageStat(name)
@@ -190,35 +203,64 @@ class StageProfiler:
             stat.max_seconds = duration
         stat.sum_seconds += duration
         stat.counts[bisect_left(STAGE_BUCKETS, duration)] += 1
-        if stack:
-            parent = stack[-1]
+        parent = frame[3]
+        if parent is not None:
             parent[2] += duration
-            edge_key = (parent[0], name)
-        else:
-            edge_key = ("", name)
-        edge = self._edges.get(edge_key)
+        parent_name = parent[0] if parent is not None else ""
+        edge = self._edges.get((parent_name, name))
         if edge is None:
-            edge = self._edges[edge_key] = [0, 0.0]
+            edge = self._edges[(parent_name, name)] = [0, 0.0]
         edge[0] += 1
         edge[1] += duration
+        self.spans.append(
+            {
+                "type": "span",
+                "name": name,
+                "t0": frame[1] - self._epoch,
+                "dur": duration,
+                "parent": parent_name or None,
+                "attrs": frame[4] or {},
+            }
+        )
         return duration
 
     @contextmanager
-    def stage(self, name: str) -> Iterator[list]:
+    def stage(self, name: str, **attrs: Any) -> Iterator[list]:
         """Scoped form of :meth:`start`/:meth:`stop`."""
-        frame = self.start(name)
+        frame = self.start(name, attrs)
         try:
             yield frame
         finally:
             self.stop(frame)
 
+    def event(self, name: str, **attrs: Any) -> None:
+        """Record an instantaneous (zero-duration) marker.
+
+        Safe from other threads (the telemetry exporter's): it never
+        reads or changes the frame stack, so its ``parent`` is null.
+        """
+        now = self._clock()
+        if self._epoch is None:
+            self._epoch = now
+        self.spans.append(
+            {
+                "type": "event",
+                "name": name,
+                "t0": now - self._epoch,
+                "dur": 0.0,
+                "parent": None,
+                "attrs": attrs,
+            }
+        )
+
     def record(self, name: str, seconds: float) -> None:
         """Record one already-measured leaf call of ``seconds`` duration.
 
         The cheap path for per-packet sites (queue service, wire codecs):
-        the caller reads the clock itself, so there is no frame push/pop.
-        The call is charged to the enclosing open frame (if any) as child
-        time and gets a parent edge, exactly like a scoped frame would.
+        the caller reads the clock itself, so there is no frame push/pop
+        and no span. The call is charged to the enclosing open frame (if
+        any) as child time and gets a parent edge, exactly like a scoped
+        frame would.
         """
         if seconds < 0.0:
             seconds = 0.0
@@ -299,15 +341,12 @@ class StageProfiler:
     def _flush_leaves(self) -> None:
         """Fold every remaining leaf accumulator (snapshot/stages time).
 
-        Accumulators under a *still-open* frame charge that frame's child
+        Accumulators under a still-open frame charge that frame's child
         time now, so its eventual stop() still computes self correctly.
         """
-        if not self._leaf_accs:
-            return
-        open_ids = {id(open_frame) for open_frame in self._stack}
         for parent, name, acc in self._leaf_accs:
             total = self._fold_leaf(parent[0] if parent else "", name, acc)
-            if parent is not None and id(parent) in open_ids:
+            if parent is not None:
                 parent[2] += total
         self._leaf_accs.clear()
 
@@ -333,19 +372,23 @@ class StageProfiler:
         ]
 
     def snapshot(self) -> Dict[str, Any]:
-        """The profiler's state as a ``repro.obs.profile/1`` document."""
+        """Stages, edges and spans as a ``repro.obs.profile/1`` document
+        (plain data, picklable: what a sweep worker sends back)."""
         return {
             "schema": PROFILE_SCHEMA,
-            "enabled": True,
             "stages": self.stages(),
             "edges": self.edges(),
+            "spans": list(self.spans),
         }
 
-    def absorb(self, snapshot: Dict[str, Any]) -> None:
+    def absorb(self, snapshot: Dict[str, Any], **attrs: Any) -> None:
         """Fold another profiler's :meth:`snapshot` into this one.
 
         Counters and histogram buckets add; ``max_seconds`` takes the
-        max — the same semantics registry merge gives the published form.
+        max. Spans are appended with ``attrs`` (e.g. ``cell=label``)
+        merged into each; their ``t0`` stays relative to the *other*
+        profiler's epoch — per-shard durations are what matters for
+        finding slow cells.
         """
         for name, stage in snapshot.get("stages", {}).items():
             stat = self._stats.get(name)
@@ -372,268 +415,19 @@ class StageProfiler:
                 slot = self._edges[key] = [0, 0.0]
             slot[0] += int(edge.get("calls", 0))
             slot[1] += float(edge.get("cum_seconds", 0.0))
-
-    # ----------------------------------------------------------- publication
-    def publish(self, registry) -> None:
-        """Expose stage stats as ``profile.*`` instruments on ``registry``.
-
-        Registers a pull-collector that *assigns* the profiler's current
-        totals — ``profile.stage_calls``/``profile.stage_self_seconds``/
-        ``profile.stage_cum_seconds`` counters, a ``profile.stage_seconds``
-        histogram loaded wholesale via :meth:`~repro.obs.metrics.Histogram.load`,
-        and a ``profile.stage_max_seconds`` gauge sampled to the peak.
-        Assignment makes collection idempotent: an exporter scraping the
-        registry mid-run, a ``detach_collectors()`` bake, and the
-        ``merge()``-triggered collect all observe the same totals exactly
-        once, so shard histograms survive
-        ``MetricsRegistry.merge(series_labels=...)`` without
-        double-counting. No-op on disabled registries.
-
-        Note this intentionally writes *wall-clock* data into the
-        registry, which breaks the snapshot's seed-determinism — callers
-        opt in per registry (bench shards only); default pipelines never
-        publish.
-        """
-        if not registry.enabled:
-            return
-        registry.add_collector(self._collect_into)
-
-    def _collect_into(self, registry) -> None:
-        self._flush_leaves()
-        for name, stat in self._stats.items():
-            registry.counter("profile.stage_calls", stage=name).value = stat.calls
-            registry.counter(
-                "profile.stage_self_seconds", stage=name
-            ).value = stat.self_seconds
-            registry.counter(
-                "profile.stage_cum_seconds", stage=name
-            ).value = stat.cum_seconds
-            registry.gauge("profile.stage_max_seconds", stage=name).sample(
-                stat.max_seconds
+        for span in snapshot.get("spans", []):
+            self.spans.append(
+                dict(span, attrs={**span.get("attrs", {}), **attrs})
             )
-            registry.histogram(
-                "profile.stage_seconds", buckets=STAGE_BUCKETS, stage=name
-            ).load(stat.counts, stat.sum_seconds)
 
+    # ----------------------------------------------------------------- trace
+    def write_jsonl(self, path) -> None:
+        """Write the span log as a ``repro.obs.trace/1`` JSONL file: the
+        meta line, then every span and event sorted by ``t0``."""
+        from repro.obs.artifacts import open_artifact
 
-class NullProfiler:
-    """Disabled profiler: same API, records nothing.
-
-    Activating one via :func:`~repro.profiling.set_active_profiler`
-    normalizes to no active profiler at all, so even the ``None`` check
-    at instrumentation sites is the only cost.
-    """
-
-    enabled = False
-
-    def start(self, name: str) -> None:
-        return None
-
-    def stop(self, frame) -> float:
-        return 0.0
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        yield None
-
-    def record(self, name: str, seconds: float) -> None:
-        pass
-
-    def leaf(self, name: str) -> list:
-        # Pre-closed: a caller that checks the closed flag re-fetches
-        # forever without accumulating anything.
-        return [0, 0.0, 0.0, [0] * (len(STAGE_BUCKETS) + 1), True]
-
-    def stages(self) -> Dict[str, Dict[str, Any]]:
-        return {}
-
-    def edges(self) -> List[Dict[str, Any]]:
-        return []
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "schema": PROFILE_SCHEMA,
-            "enabled": False,
-            "stages": {},
-            "edges": [],
-        }
-
-    def absorb(self, snapshot: Dict[str, Any]) -> None:
-        pass
-
-    def publish(self, registry) -> None:
-        pass
-
-
-def merge_stage_maps(
-    base: Dict[str, Dict[str, Any]], other: Dict[str, Dict[str, Any]]
-) -> Dict[str, Dict[str, Any]]:
-    """Merge two ``stages`` maps (snapshot/:func:`stages_from_registry`
-    shaped) with add/max semantics; neither input is mutated."""
-    combined = StageProfiler()
-    combined.absorb({"stages": base, "edges": []})
-    combined.absorb({"stages": other, "edges": []})
-    return combined.stages()
-
-
-def stages_from_registry(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Reconstruct a ``stages`` map from published ``profile.*`` metrics.
-
-    The inverse of :meth:`StageProfiler.publish` over a (possibly merged)
-    registry snapshot — how the bench suite recovers worker-side stage
-    stats after a parallel sweep folded its shards together. Edges are
-    not published, so the result carries timing stats only.
-    """
-    from repro.obs.export import parse_key
-
-    stages: Dict[str, Dict[str, Any]] = {}
-
-    def _slot(labels: Dict[str, str]) -> Optional[Dict[str, Any]]:
-        stage = labels.get("stage")
-        if stage is None:
-            return None
-        slot = stages.get(stage)
-        if slot is None:
-            slot = stages[stage] = {
-                "calls": 0,
-                "self_seconds": 0.0,
-                "cum_seconds": 0.0,
-                "max_seconds": 0.0,
-                "sum_seconds": 0.0,
-                "buckets": list(STAGE_BUCKETS),
-                "counts": [0] * (len(STAGE_BUCKETS) + 1),
-            }
-        return slot
-
-    for key, value in snapshot.get("counters", {}).items():
-        name, labels = parse_key(key)
-        slot = _slot(labels)
-        if slot is None:
-            continue
-        if name == "profile.stage_calls":
-            slot["calls"] = int(value)
-        elif name == "profile.stage_self_seconds":
-            slot["self_seconds"] = float(value)
-        elif name == "profile.stage_cum_seconds":
-            slot["cum_seconds"] = float(value)
-    for key, gauge in snapshot.get("gauges", {}).items():
-        name, labels = parse_key(key)
-        if name != "profile.stage_max_seconds":
-            continue
-        slot = _slot(labels)
-        if slot is not None:
-            slot["max_seconds"] = float(gauge.get("peak", gauge.get("value", 0.0)))
-    for key, hist in snapshot.get("histograms", {}).items():
-        name, labels = parse_key(key)
-        if name != "profile.stage_seconds":
-            continue
-        slot = _slot(labels)
-        if slot is not None:
-            slot["counts"] = [int(n) for n in hist.get("counts", slot["counts"])]
-            slot["buckets"] = list(hist.get("buckets", slot["buckets"]))
-            slot["sum_seconds"] = float(hist.get("sum", 0.0))
-    return {name: stages[name] for name in sorted(stages)}
-
-
-class StackSampler:
-    """Interval stack sampler for un-instrumented code.
-
-    A daemon thread wakes every ``interval`` seconds, grabs the target
-    thread's current Python stack via ``sys._current_frames()``, and
-    counts, per ``module:function``, how often it was the executing leaf
-    (*self* samples) and how often it appeared anywhere on the stack
-    (*cumulative* samples, deduplicated per sample so recursion cannot
-    inflate them). Start/stop are lock-guarded and idempotent, so racing
-    callers (or a stop racing the sampling loop) are safe.
-    """
-
-    def __init__(self, interval: float = 0.005, max_depth: int = 64):
-        if interval <= 0:
-            raise ObservabilityError(
-                f"sampler interval must be positive, got {interval}"
-            )
-        self.interval = interval
-        self.max_depth = max_depth
-        self.samples = 0
-        self._functions: Dict[str, List[int]] = {}
-        self._lock = threading.Lock()
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._target_id: Optional[int] = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> "StackSampler":
-        """Begin sampling the *calling* thread. Idempotent while running."""
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                return self
-            self._target_id = threading.get_ident()
-            self._stop_event.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-stack-sampler", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> "StackSampler":
-        """Stop sampling and join the sampler thread. Idempotent."""
-        with self._lock:
-            thread = self._thread
-            self._thread = None
-            self._stop_event.set()
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=2.0)
-        return self
-
-    def __enter__(self) -> "StackSampler":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        target_id = self._target_id
-        while not self._stop_event.wait(self.interval):
-            frame = sys._current_frames().get(target_id)
-            if frame is None:
-                continue
-            self._record_stack(frame)
-
-    def _record_stack(self, frame) -> None:
-        self.samples += 1
-        seen = set()
-        depth = 0
-        leaf = True
-        while frame is not None and depth < self.max_depth:
-            name = (
-                f"{frame.f_globals.get('__name__', '?')}:"
-                f"{frame.f_code.co_name}"
-            )
-            slot = self._functions.get(name)
-            if slot is None:
-                slot = self._functions[name] = [0, 0]
-            if leaf:
-                slot[0] += 1
-                leaf = False
-            if name not in seen:
-                seen.add(name)
-                slot[1] += 1
-            frame = frame.f_back
-            depth += 1
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Sample counts as a ``repro.obs.profile/1`` sampling document."""
-        return {
-            "schema": PROFILE_SCHEMA,
-            "enabled": True,
-            "mode": "sampling",
-            "interval": self.interval,
-            "samples": self.samples,
-            "functions": {
-                name: {"self": counts[0], "cum": counts[1]}
-                for name, counts in sorted(self._functions.items())
-            },
-        }
+        records = [{"type": "meta", "schema": TRACE_SCHEMA, **self.meta}]
+        records.extend(sorted(self.spans, key=lambda span: span["t0"]))
+        with open_artifact(path, "trace") as handle:
+            for record in records:
+                handle.write(json.dumps(record) + "\n")

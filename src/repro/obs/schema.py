@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, List
 from repro.errors import ObservabilityError
 from repro.obs.audit import AUDIT_SCHEMA, EPISODE_STATUSES
 from repro.obs.manifest import MANIFEST_SCHEMA
-from repro.obs.tracing import TRACE_SCHEMA
+from repro.obs.profile import TRACE_SCHEMA
 
 #: Schema identifier of the combined manifest+metrics document.
 METRICS_SCHEMA = "repro.obs.metrics/1"

@@ -22,10 +22,11 @@ plus a ``None`` check per potential stage::
         if prof is not None:
             prof.stop(frame)
 
-With no profiler active (the default everywhere outside ``repro bench``)
-that is the entire cost, so profiling support adds nothing measurable to
-un-profiled runs and *never* touches a metrics registry — snapshot
-digests are byte-identical whether a profiler is active or not.
+With no profiler active (the default everywhere outside ``repro bench``
+and ``--trace-out``) that is the entire cost, so profiling support adds
+nothing measurable to un-profiled runs and *never* touches a metrics
+registry — snapshot digests are byte-identical whether a profiler is
+active or not.
 """
 
 from __future__ import annotations
@@ -40,62 +41,48 @@ from typing import Any, Iterator, Optional
 STAGE_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
 #: The process-global active profiler, or None. Read directly by hot
-#: paths (``_profiling.ACTIVE``); set via :func:`set_active_profiler` /
-#: :func:`profiling` so disabled profilers normalize to None.
+#: paths (``_profiling.ACTIVE``); set only through :func:`profiling`.
 ACTIVE: Optional[Any] = None
-
-
-def active_profiler() -> Optional[Any]:
-    """Return the active :class:`~repro.obs.profile.StageProfiler`, if any."""
-    return ACTIVE
-
-
-def set_active_profiler(profiler: Optional[Any]) -> Optional[Any]:
-    """Install ``profiler`` as the process-global profiler.
-
-    Disabled profilers (``enabled`` false, e.g.
-    :class:`~repro.obs.profile.NullProfiler`) normalize to ``None`` so
-    instrumentation sites stay a single ``None`` check. Returns the
-    previously active profiler (which may be ``None``).
-    """
-    global ACTIVE
-    previous = ACTIVE
-    if profiler is not None and not getattr(profiler, "enabled", True):
-        profiler = None
-    ACTIVE = profiler
-    return previous
 
 
 @contextmanager
 def profiling(profiler: Optional[Any]) -> Iterator[Optional[Any]]:
     """Scope ``profiler`` as the active profiler; restores the previous one.
 
-    Nesting is safe: a sweep cell activating its own profiler inside a
-    bench run shadows the bench profiler for the cell's duration and the
-    bench profiler resumes afterwards.
+    The one way to activate profiling. Nesting is safe: an inner scope
+    shadows the outer profiler for its duration and the outer one
+    resumes afterwards.
     """
     global ACTIVE
-    previous = set_active_profiler(profiler)
+    previous, ACTIVE = ACTIVE, profiler
     try:
-        yield ACTIVE
+        yield profiler
     finally:
         ACTIVE = previous
 
 
 @contextmanager
-def profile_stage(name: str) -> Iterator[Optional[Any]]:
-    """Scoped timer against the active profiler; free no-op when none.
+def profile_stage(name: str, **attrs: Any) -> Iterator[Optional[Any]]:
+    """Scoped timer (and span) against the active profiler; free no-op
+    when none. ``attrs`` land on the frame's span record.
 
     Convenience for warm (per-run, per-phase) sites; per-packet hot paths
     should use the manual ``start``/``stop`` pattern from the module
-    docstring instead to skip generator overhead.
+    docstring (or leaf records) instead to skip generator overhead.
     """
     prof = ACTIVE
     if prof is None:
         yield None
         return
-    frame = prof.start(name)
+    frame = prof.start(name, attrs)
     try:
         yield frame
     finally:
         prof.stop(frame)
+
+
+def event(name: str, **attrs: Any) -> None:
+    """Zero-duration marker on the active profiler; no-op when none."""
+    prof = ACTIVE
+    if prof is not None:
+        prof.event(name, **attrs)

@@ -49,7 +49,7 @@ from repro.obs.metrics import (
     snapshot_digest,
 )
 from repro.obs.schema import validate_snapshot
-from repro.obs.tracing import Tracer
+from repro.obs.profile import StageProfiler, profiling
 
 
 def populated_registry():
@@ -424,25 +424,25 @@ class TestLookupMetric:
 class TestAlertRules:
     def test_value_rule_fires_and_resolves_with_transitions(self):
         own = MetricsRegistry()
-        tracer = Tracer(shard="test")
+        profiler = StageProfiler(shard="test")
         engine = AlertRules(
             [AlertRule(name="deep", metric="depth", op=">", threshold=10.0)],
             registry=own,
-            tracer=tracer,
         )
-        assert engine.evaluate(snap(gauges={"depth": 5}), wall=1.0) == []
-        events = engine.evaluate(snap(gauges={"depth": 20}), wall=2.0)
-        assert [(e.rule, e.state) for e in events] == [("deep", "firing")]
-        assert engine.active == ["deep"]
-        assert own.gauge("live.alerts_active").value == 1.0
-        events = engine.evaluate(snap(gauges={"depth": 3}), wall=3.0)
+        with profiling(profiler):
+            assert engine.evaluate(snap(gauges={"depth": 5}), wall=1.0) == []
+            events = engine.evaluate(snap(gauges={"depth": 20}), wall=2.0)
+            assert [(e.rule, e.state) for e in events] == [("deep", "firing")]
+            assert engine.active == ["deep"]
+            assert own.gauge("live.alerts_active").value == 1.0
+            events = engine.evaluate(snap(gauges={"depth": 3}), wall=3.0)
         assert [(e.rule, e.state) for e in events] == [("deep", "resolved")]
         assert engine.active == []
         assert own.gauge("live.alerts_active").value == 0.0
         own_snapshot = own.snapshot()
         assert own_snapshot["counters"]["alerts.events{rule=deep,state=firing}"] == 1
         assert own_snapshot["counters"]["alerts.events{rule=deep,state=resolved}"] == 1
-        names = [span["name"] for span in tracer.spans]
+        names = [span["name"] for span in profiler.spans]
         assert "alert.fired" in names and "alert.resolved" in names
 
     def test_for_intervals_debounces(self):

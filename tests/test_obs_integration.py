@@ -27,8 +27,10 @@ from repro.net.faults import FaultProfile
 from repro.obs import (
     MetricsRegistry,
     NullRegistry,
-    Tracer,
+    StageProfiler,
     metrics_document,
+    profiling,
+    snapshot_digest,
     validate_metrics_document,
     validate_trace_lines,
 )
@@ -44,9 +46,9 @@ RUN_KWARGS = dict(
 )
 
 
-def _run(metrics=None, tracer=None, **overrides):
+def _run(metrics=None, **overrides):
     kwargs = dict(RUN_KWARGS, **overrides)
-    return run_badabing(metrics=metrics, tracer=tracer, **kwargs)
+    return run_badabing(metrics=metrics, **kwargs)
 
 
 class TestDeterminism:
@@ -74,6 +76,24 @@ class TestDeterminism:
         assert (
             result_a.manifest.deterministic_dict()
             == result_b.manifest.deterministic_dict()
+        )
+
+    def test_traced_run_matches_untraced(self):
+        # Tracing is observation only: the traced run schedules no extra
+        # simulator events, so digests and event counts are identical.
+        untraced = MetricsRegistry()
+        result_off, _ = _run(metrics=untraced)
+        traced = MetricsRegistry()
+        profiler = StageProfiler(tool="badabing", seed=3)
+        with profiling(profiler):
+            result_on, _ = _run(metrics=traced)
+        assert [s["name"] for s in profiler.spans].count("sim.run") == 1
+        assert snapshot_digest(traced.snapshot()) == snapshot_digest(
+            untraced.snapshot()
+        )
+        assert (
+            result_on.manifest.events_processed
+            == result_off.manifest.events_processed
         )
 
     def test_null_registry_estimates_match_enabled(self):
@@ -141,14 +161,20 @@ class TestSchemas:
         assert validate_metrics_document(document) == []
 
     def test_trace_validates(self, tmp_path):
-        tracer = Tracer(tool="badabing", seed=3)
-        _run(metrics=MetricsRegistry(), tracer=tracer)
+        profiler = StageProfiler(tool="badabing", seed=3)
+        with profiling(profiler):
+            _run(metrics=MetricsRegistry())
         path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
+        profiler.write_jsonl(path)
         with open(path, "r", encoding="utf-8") as handle:
             assert validate_trace_lines(handle) == []
-        names = {span["name"] for span in tracer.spans}
-        assert {"testbed.build", "sim.run", "probe.join", "tool.result"} <= names
+        names = [span["name"] for span in profiler.spans]
+        for name in (
+            "testbed.build", "traffic.start", "sim.run", "truth.extract",
+            "tool.result", "probe.join", "marking.apply", "estimator.fold",
+            "validator.fold", "audit.build",
+        ):
+            assert names.count(name) == 1, name
 
     def test_validator_catches_corruption(self):
         registry = MetricsRegistry()
@@ -222,23 +248,23 @@ class TestDropAttribution:
 class TestSweepTelemetry:
     def test_shared_registry_across_cells(self):
         registry = MetricsRegistry()
-        tracer = Tracer(kind="sweep")
-        outcomes = sweep_badabing(
-            [
-                {"seed": 3},
-                {"seed": 4},
-                {"seed": 5, "max_events": 500, "label": "doomed"},
-            ],
-            metrics=registry,
-            tracer=tracer,
-            **{k: v for k, v in RUN_KWARGS.items() if k != "seed"},
-        )
+        profiler = StageProfiler(kind="sweep")
+        with profiling(profiler):
+            outcomes = sweep_badabing(
+                [
+                    {"seed": 3},
+                    {"seed": 4},
+                    {"seed": 5, "max_events": 500, "label": "doomed"},
+                ],
+                metrics=registry,
+                **{k: v for k, v in RUN_KWARGS.items() if k != "seed"},
+            )
         assert [o.ok for o in outcomes] == [True, True, False]
         counters = registry.snapshot()["counters"]
         assert counters["sweep.cells{status=ok}"] == 2
         assert counters["sweep.cells{status=budget_exhausted}"] == 1
         assert counters["sweep.degraded_cells"] == 1
-        cell_spans = [s for s in tracer.spans if s["name"] == "sweep.cell"]
+        cell_spans = [s for s in profiler.spans if s["name"] == "sweep.cell"]
         assert len(cell_spans) == 3
         # Each successful cell's manifest reports only its own events.
         manifests = [o.result.manifest for o in outcomes if o.ok]
@@ -270,6 +296,28 @@ class TestCli:
         assert "manifest:" in out
         assert "probe.packets_sent" in out
         assert "sim.run" in out
+
+    def test_trace_out_does_not_perturb_metrics(self, tmp_path, capsys):
+        documents = []
+        for traced in (False, True):
+            metrics_path = tmp_path / f"metrics-{traced}.json"
+            argv = [
+                "measure", "episodic_cbr", "--slots", "1500", "--seed", "3",
+                "--profile", "smoke", "--metrics-out", str(metrics_path),
+            ]
+            if traced:
+                argv += ["--trace-out", str(tmp_path / "trace.jsonl")]
+            assert main(argv) == 0
+            documents.append(json.loads(metrics_path.read_text()))
+        capsys.readouterr()
+        untraced, traced = documents
+        assert snapshot_digest(traced["metrics"]) == snapshot_digest(
+            untraced["metrics"]
+        )
+        assert (
+            traced["manifest"]["events_processed"]
+            == untraced["manifest"]["events_processed"]
+        )
 
     def test_obs_validate_fails_on_corrupt_document(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,34 +1,32 @@
-"""Stage profiler unit tests: timing semantics, edge cases, publication.
+"""Stage profiler unit tests: timing semantics, edge cases, span log.
 
 Covers the DESIGN.md §14 contracts: self/cumulative attribution with
-reentrancy, zero-duration spans, exception unwinding, leaf records and
-accumulators, idempotent assignment-based publication into a registry,
-digest non-perturbation, and the sampling-mode start/stop races.
+reentrancy, zero-duration spans, exception unwinding, interleaved async
+frames, leaf records and accumulators, snapshot/absorb shard merging,
+the ``repro.obs.trace/1`` span log, and digest non-perturbation.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 import threading
-import time
 
 import pytest
 
+from repro import profiling as _profiling
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry, NullRegistry, snapshot_digest
+from repro.obs.metrics import MetricsRegistry, snapshot_digest
 from repro.obs.profile import (
     PIPELINE_STAGES,
     PROFILE_SCHEMA,
     STAGE_BUCKETS,
-    NullProfiler,
-    StackSampler,
     StageProfiler,
-    active_profiler,
-    merge_stage_maps,
+    event,
     profile_stage,
     profiling,
-    set_active_profiler,
-    stages_from_registry,
 )
+from repro.obs.schema import validate_trace_lines
 
 
 class FakeClock:
@@ -126,6 +124,27 @@ class TestStageProfilerBasics:
             pass
         assert prof.stages()["abandoned"]["cum_seconds"] > 0.0
 
+    def test_interleaved_frames_are_both_recorded(self):
+        # Two asyncio sessions under one profiler: A starts, B starts,
+        # A stops, B stops. Neither frame is discarded as abandoned.
+        prof = StageProfiler(clock=FakeClock(step=1.0))
+        a = prof.start("live.session", {"port": 1})
+        b = prof.start("live.session", {"port": 2})
+        assert prof.stop(a) == 2.0
+        assert prof.stop(b) == 2.0
+        stat = prof.stages()["live.session"]
+        assert stat["calls"] == 2
+        assert stat["sum_seconds"] == 4.0
+        spans = [s for s in prof.spans if s["name"] == "live.session"]
+        assert [(s["attrs"]["port"], s["t0"], s["dur"]) for s in spans] == [
+            (1, 0.0, 2.0),
+            (2, 1.0, 2.0),
+        ]
+        # Both left the stack: a new frame nests at the root.
+        with prof.stage("after"):
+            pass
+        assert prof.spans[-1]["parent"] is None
+
     def test_double_stop_is_ignored(self):
         prof = StageProfiler(clock=FakeClock())
         frame = prof.start("once")
@@ -217,30 +236,27 @@ class TestLeafRecords:
 
 
 class TestActivation:
-    def test_set_active_normalizes_disabled_profiler(self):
-        previous = set_active_profiler(NullProfiler())
-        try:
-            assert active_profiler() is None
-        finally:
-            set_active_profiler(previous)
-
     def test_profiling_scope_restores_previous(self):
         outer = StageProfiler()
         inner = StageProfiler()
         with profiling(outer):
-            assert active_profiler() is outer
+            assert _profiling.ACTIVE is outer
             with profiling(inner):
-                assert active_profiler() is inner
-            assert active_profiler() is outer
-        assert active_profiler() is None
+                assert _profiling.ACTIVE is inner
+            assert _profiling.ACTIVE is outer
+        assert _profiling.ACTIVE is None
 
     def test_profile_stage_noop_without_active_profiler(self):
-        assert active_profiler() is None
+        assert _profiling.ACTIVE is None
         with profile_stage("anything") as frame:
             assert frame is None
+        event("anything")  # no profiler: nothing to record, no error
 
 
 class TestPublication:
+    """A profiler publishes its :meth:`snapshot`; it never writes into a
+    metrics registry."""
+
     def _profiler_with_data(self):
         clock = FakeClock(step=1.0)
         prof = StageProfiler(clock=clock)
@@ -248,59 +264,26 @@ class TestPublication:
             prof.record("queue.service", 0.5)
         return prof
 
-    def test_publish_assigns_profile_instruments(self):
-        prof = self._profiler_with_data()
-        registry = MetricsRegistry()
-        prof.publish(registry)
-        snapshot = registry.snapshot()
-        calls = {
-            key: value
-            for key, value in snapshot["counters"].items()
-            if key.startswith("profile.stage_calls")
-        }
-        assert calls == {
-            "profile.stage_calls{stage=queue.service}": 1,
-            "profile.stage_calls{stage=sim.run}": 1,
-        }
-        hists = [
-            key
-            for key in snapshot["histograms"]
-            if key.startswith("profile.stage_seconds")
-        ]
-        assert len(hists) == 2
-
     def test_repeated_snapshots_do_not_double_count(self):
-        # The satellite fix: publication is assignment-based, so exporter
-        # scrapes (collect/snapshot cycles) can never inflate the totals.
         prof = self._profiler_with_data()
-        registry = MetricsRegistry()
-        prof.publish(registry)
-        first = registry.snapshot()
+        acc = prof.leaf("wire.encode")
+        acc[0] += 3
+        first = prof.snapshot()
         for _ in range(3):
-            registry.collect()
-        again = registry.snapshot()
-        assert first == again
+            prof.stages()
+            prof.edges()
+        assert prof.snapshot() == first
+        assert first["stages"]["wire.encode"]["calls"] == 3
 
     def test_published_histograms_survive_merge_without_double_count(self):
-        prof = self._profiler_with_data()
-        shard = MetricsRegistry()
-        prof.publish(shard)
-        parent = MetricsRegistry()
-        parent.merge(shard.detach_collectors(), series_labels={"cell": "c0"})
+        shard = self._profiler_with_data()
+        parent = StageProfiler()
+        parent.absorb(shard.snapshot(), cell="c0")
         merged = parent.snapshot()
-        hist = merged["histograms"]["profile.stage_seconds{stage=queue.service}"]
-        assert hist["count"] == 1
-        assert sum(hist["counts"]) == 1
+        stat = merged["stages"]["queue.service"]
+        assert stat["calls"] == sum(stat["counts"]) == 1
         # Snapshotting the parent again is stable too.
         assert parent.snapshot() == merged
-
-    def test_publish_into_null_registry_is_noop(self):
-        prof = self._profiler_with_data()
-        registry = NullRegistry()
-        prof.publish(registry)
-        assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}, "series": {},
-        }
 
     def test_active_profiler_never_perturbs_registry_digest(self):
         def run(profiler):
@@ -333,7 +316,7 @@ class TestDocuments:
             prof.record("queue.service", 0.25)
         doc = prof.snapshot()
         assert doc["schema"] == PROFILE_SCHEMA
-        assert doc["enabled"] is True
+        assert [span["name"] for span in doc["spans"]] == ["sim.run"]
         other = StageProfiler()
         other.absorb(doc)
         other.absorb(doc)
@@ -362,97 +345,103 @@ class TestDocuments:
         with pytest.raises(ObservabilityError):
             prof.absorb(bad)
 
-    def test_merge_stage_maps_adds_and_maxes(self):
+    def test_absorb_adds_and_maxes(self):
         a = StageProfiler(clock=FakeClock())
         with a.stage("s"):
             pass
         b = StageProfiler(clock=FakeClock(step=2.0))
         with b.stage("s"):
             pass
-        merged = merge_stage_maps(a.stages(), b.stages())
-        assert merged["s"]["calls"] == 2
-        assert merged["s"]["max_seconds"] == 2.0
+        merged = StageProfiler()
+        merged.absorb(a.snapshot())
+        merged.absorb(b.snapshot())
+        stat = merged.stages()["s"]
+        assert stat["calls"] == 2
+        assert stat["sum_seconds"] == 3.0
+        assert stat["max_seconds"] == 2.0
 
-    def test_stages_from_registry_roundtrip(self):
+    def test_absorb_tags_spans_with_shard_attrs(self):
+        worker = StageProfiler(clock=FakeClock())
+        with worker.stage("sweep.cell", label="a"):
+            pass
+        parent = StageProfiler()
+        parent.absorb(worker.snapshot(), cell="a")
+        (span,) = parent.spans
+        assert span["name"] == "sweep.cell"
+        assert span["attrs"] == {"label": "a", "cell": "a"}
+        # The worker's own record is untouched.
+        assert worker.spans[0]["attrs"] == {"label": "a"}
+
+
+class TestSpanLog:
+    def test_frames_write_a_valid_trace(self, tmp_path):
+        prof = StageProfiler(clock=FakeClock(step=1.0), tool="t", seed=3)
+        with prof.stage("outer", n=1):
+            with prof.stage("inner"):
+                prof.record("leaf", 0.1)
+        prof.event("marker", k="v")
+        path = tmp_path / "trace.jsonl"
+        prof.write_jsonl(path)
+        lines = path.read_text().splitlines()
+        assert validate_trace_lines(lines) == []
+        records = [json.loads(line) for line in lines]
+        assert records[0] == {
+            "type": "meta", "schema": "repro.obs.trace/1", "tool": "t", "seed": 3,
+        }
+        # Sorted by t0; leaf records stay span-free.
+        assert [(r["type"], r["name"], r["parent"]) for r in records[1:]] == [
+            ("span", "outer", None),
+            ("span", "inner", "outer"),
+            ("event", "marker", None),
+        ]
+        assert records[1]["attrs"] == {"n": 1}
+        assert records[1]["t0"] == 0.0 and records[1]["dur"] == 3.0
+
+    def test_event_never_touches_the_frame_stack(self):
         prof = StageProfiler(clock=FakeClock())
-        with prof.stage("sim.run"):
-            prof.record("queue.service", 0.5)
-        registry = MetricsRegistry()
-        prof.publish(registry)
-        recovered = stages_from_registry(registry.snapshot())
-        original = prof.stages()
-        for name in ("sim.run", "queue.service"):
-            assert recovered[name]["calls"] == original[name]["calls"]
-            assert recovered[name]["self_seconds"] == pytest.approx(
-                original[name]["self_seconds"]
-            )
-            assert recovered[name]["counts"] == original[name]["counts"]
+        with profiling(prof):
+            with profile_stage("open"):
+                event("alert.fired", rule="r")
+        marker = next(s for s in prof.spans if s["type"] == "event")
+        assert marker["parent"] is None
+        assert marker["dur"] == 0.0
+        assert marker["attrs"] == {"rule": "r"}
+        assert "alert.fired" not in prof.stages()
 
-    def test_null_profiler_snapshot_disabled(self):
-        doc = NullProfiler().snapshot()
-        assert doc["enabled"] is False
-        assert doc["stages"] == {}
+    def test_events_from_threads_race_frames_without_loss(self):
+        # The telemetry exporter emits events from its own thread while
+        # the run opens and closes frames on the main thread.
+        prof = StageProfiler()
+        per_thread, n_threads, n_frames = 500, 4, 500
 
+        def emit():
+            for i in range(per_thread):
+                prof.event("export.tick", i=i)
 
-class TestStackSampler:
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ObservabilityError):
-            StackSampler(interval=0.0)
-
-    def test_samples_current_thread(self):
-        sampler = StackSampler(interval=0.001)
-        with sampler:
-            deadline = time.monotonic() + 1.0
-            while sampler.snapshot()["samples"] == 0:
-                if time.monotonic() > deadline:
-                    break
-                sum(range(1000))
-        doc = sampler.snapshot()
-        assert doc["mode"] == "sampling"
-        assert doc["samples"] >= 1
-        assert doc["functions"]
-        for stats in doc["functions"].values():
-            assert stats["cum"] >= stats["self"] >= 0
-
-    def test_start_is_idempotent_and_stop_joins(self):
-        sampler = StackSampler(interval=0.001)
-        sampler.start()
-        first_thread = sampler._thread
-        sampler.start()  # second start: no new thread
-        assert sampler._thread is first_thread
-        assert sampler.running
-        sampler.stop()
-        assert not sampler.running
-        sampler.stop()  # idempotent
-        assert not sampler.running
-
-    def test_concurrent_start_stop_races_do_not_wedge(self):
-        sampler = StackSampler(interval=0.0005)
-
-        def churn():
-            for _ in range(25):
-                sampler.start()
-                sampler.stop()
-
-        threads = [threading.Thread(target=churn) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
+        threads = [threading.Thread(target=emit) for _ in range(n_threads)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(n_frames):
+                with prof.stage("outer"):
+                    with prof.stage("inner"):
+                        pass
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
-        sampler.stop()
-        assert not sampler.running
-
-    def test_restart_accumulates(self):
-        sampler = StackSampler(interval=0.001)
-        sampler.start()
-        time.sleep(0.02)
-        sampler.stop()
-        first = sampler.snapshot()["samples"]
-        sampler.start()
-        time.sleep(0.02)
-        sampler.stop()
-        assert sampler.snapshot()["samples"] >= first
+        kinds = [span["type"] for span in prof.spans]
+        assert kinds.count("event") == per_thread * n_threads
+        assert kinds.count("span") == 2 * n_frames
+        assert prof.stages()["inner"]["calls"] == n_frames
+        assert all(
+            span["parent"] == "outer"
+            for span in prof.spans
+            if span["name"] == "inner"
+        )
 
 
 class TestBucketContract:

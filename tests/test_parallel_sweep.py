@@ -27,7 +27,7 @@ from repro.experiments.runner import (
 )
 from repro.obs.audit import scorecard_digest
 from repro.obs.metrics import MetricsRegistry, snapshot_digest
-from repro.obs.tracing import Tracer
+from repro.obs.profile import StageProfiler, profiling
 
 CELL = dict(
     scenario="episodic_cbr",
@@ -111,15 +111,15 @@ class TestSerialParallelEquivalence:
         assert validate_metrics_document(metrics_document(registry)) == []
 
     def test_parallel_tracer_absorbs_one_cell_span_per_cell(self):
-        tracer = Tracer(kind="sweep")
-        outcomes = sweep_badabing(
-            [{"p": 0.3, "seed": 1}, {"p": 0.3, "seed": 2}],
-            tracer=tracer,
-            workers=2,
-            **CELL,
-        )
+        profiler = StageProfiler(kind="sweep")
+        with profiling(profiler):
+            outcomes = sweep_badabing(
+                [{"p": 0.3, "seed": 1}, {"p": 0.3, "seed": 2}],
+                workers=2,
+                **CELL,
+            )
         assert all(o.ok for o in outcomes)
-        cell_spans = [s for s in tracer.spans if s["name"] == "sweep.cell"]
+        cell_spans = [s for s in profiler.spans if s["name"] == "sweep.cell"]
         assert len(cell_spans) == 2
         assert {s["attrs"]["label"] for s in cell_spans} == {
             o.label for o in outcomes
@@ -224,57 +224,45 @@ class TestSweepMetricsTelemetry:
 
 
 class TestProfiledSweep:
-    """Satellite regression: published profile.* instruments must survive
-    merge(series_labels=) across shards deterministically and without
-    double-counting."""
+    """Under an active profiler, worker shards come back as profiler
+    snapshots absorbed in cell order; nothing reaches the registry."""
 
     CELLS = [{"p": 0.3, "seed": 1}, {"p": 0.5, "seed": 2}]
 
     def _profiled_sweep(self, workers):
         registry = MetricsRegistry()
-        outcomes = sweep_badabing(
-            self.CELLS, metrics=registry, workers=workers, profiled=True, **CELL
-        )
+        profiler = StageProfiler()
+        with profiling(profiler):
+            outcomes = sweep_badabing(
+                self.CELLS, metrics=registry, workers=workers, **CELL
+            )
         assert all(o.ok for o in outcomes)
-        return registry
+        return profiler, registry, [o.label for o in outcomes]
 
     def test_profiled_stage_calls_identical_serial_vs_parallel(self):
-        serial = self._profiled_sweep(None).snapshot()["counters"]
-        parallel = self._profiled_sweep(2).snapshot()["counters"]
+        serial, serial_registry, labels = self._profiled_sweep(None)
+        parallel, parallel_registry, _ = self._profiled_sweep(2)
         serial_calls = {
-            key: value
-            for key, value in serial.items()
-            if key.startswith("profile.stage_calls")
+            name: stat["calls"] for name, stat in serial.stages().items()
         }
-        assert serial_calls, "profiled sweep published no stage stats"
-        parallel_calls = {
-            key: value
-            for key, value in parallel.items()
-            if key.startswith("profile.stage_calls")
-        }
+        assert "sim.run" in serial_calls
         # Stage call counts are a pure function of the cell seeds (the
-        # stride-sampled queue.service counter included), so the merged
-        # totals must be byte-identical serial vs parallel.
-        assert serial_calls == parallel_calls
-
-    def test_profiled_histograms_survive_merge_without_double_count(self):
-        registry = self._profiled_sweep(2)
-        first = registry.snapshot()
-        hists = {
-            key: value
-            for key, value in first["histograms"].items()
-            if key.startswith("profile.stage_seconds")
-        }
-        assert hists
-        calls = first["counters"]
-        for key, hist in hists.items():
-            stage_label = key.split("{", 1)[1]
-            assert sum(hist["counts"]) == hist["count"]
-            # Histogram count equals the published call counter for the
-            # same stage: one observation per call, not N per scrape.
-            assert hist["count"] == calls[f"profile.stage_calls{{{stage_label}"]
-        # Repeated snapshots (exporter scrapes) stay byte-identical.
-        assert registry.snapshot() == first
+        # stride-sampled queue.service counter included), so the absorbed
+        # worker totals must equal the serial ones exactly.
+        parallel_stages = parallel.stages()
+        assert {
+            name: stat["calls"] for name, stat in parallel_stages.items()
+        } == serial_calls
+        for stat in parallel_stages.values():
+            assert sum(stat["counts"]) == stat["calls"]
+        # One sweep.cell span per cell, absorbed in cell order and tagged.
+        cell_spans = [s for s in parallel.spans if s["name"] == "sweep.cell"]
+        assert [s["attrs"]["label"] for s in cell_spans] == labels
+        assert [s["attrs"]["cell"] for s in cell_spans] == labels
+        # Profiling leaves the registries seed-deterministic.
+        assert snapshot_digest(parallel_registry.snapshot()) == snapshot_digest(
+            serial_registry.snapshot()
+        )
 
     def test_unprofiled_sweep_publishes_no_profile_instruments(self):
         registry = MetricsRegistry()
