@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from repro.core.records import ProbeRecord
 from repro.errors import EstimationError
+
+if TYPE_CHECKING:
+    from repro.core.records import ProbeRecord
 
 
 def owd_samples(probes: Sequence[ProbeRecord]) -> List[Tuple[float, float]]:

@@ -145,7 +145,8 @@ class Link:
     # -------------------------------------------------------------- internals
     def _start_next(self) -> None:
         # Per-packet hot path: one None check when no profiler is active
-        # (the default everywhere outside `repro bench`). When one is,
+        # (the default everywhere outside `repro bench`), and no `take` call
+        # at all when the queue is empty. Under an active profiler,
         # deterministic stride sampling keeps the profiled run inside the
         # 10% overhead budget: every SERVICE_SAMPLE_STRIDE-th service is
         # timed (two clock reads) and stands in for its whole stride,
@@ -157,6 +158,9 @@ class Link:
         # sweeps of the same cells.
         prof = _profiling.ACTIVE
         if prof is None:
+            if not self.queue._packets:
+                self._busy = False
+                return
             packet = self.queue.take(self.sim.now)
         else:
             countdown = self._service_countdown - 1

@@ -17,10 +17,10 @@ tests" property hold in this reproduction.
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import profiling as _profiling
 from repro.errors import SimulationError
@@ -29,26 +29,28 @@ from repro.obs.metrics import MetricsRegistry
 Callback = Callable[..., None]
 
 
-class _Event:
-    """A scheduled callback. Cancellation just flips a flag (lazy deletion)."""
+class _Event(list):
+    """A scheduled callback stored as ``[time, seq, callback, args]``.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    Being a list, the heap orders entries with C-level comparisons of
+    ``(time, seq)``; ``seq`` is unique, so callbacks and args are never
+    compared. Cancellation clears the callback slot (lazy deletion).
+    Handles are lists, hence unhashable: hold them, never key on them.
+    """
 
-    def __init__(self, time: float, seq: int, callback: Callback, args: Tuple[Any, ...]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
+    __slots__ = ()
 
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing. Safe to call more than once."""
-        self.cancelled = True
+        self[2] = None
 
 
 class Simulator:
@@ -132,7 +134,13 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        self._seq = seq = self._seq + 1
+        event = _Event((self._now + delay, seq, callback, args))
+        queue = self._queue
+        heappush(queue, event)
+        if len(queue) > self.heap_peak:
+            self.heap_peak = len(queue)
+        return event
 
     def schedule_at(self, time: float, callback: Callback, *args: Any) -> _Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
@@ -140,11 +148,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        self._seq += 1
-        event = _Event(time, self._seq, callback, args)
-        heapq.heappush(self._queue, event)
-        if len(self._queue) > self.heap_peak:
-            self.heap_peak = len(self._queue)
+        self._seq = seq = self._seq + 1
+        event = _Event((time, seq, callback, args))
+        queue = self._queue
+        heappush(queue, event)
+        if len(queue) > self.heap_peak:
+            self.heap_peak = len(queue)
         return event
 
     # ------------------------------------------------------------------- run
@@ -172,15 +181,14 @@ class Simulator:
         wall_start = time.perf_counter()
         try:
             while queue:
-                event = queue[0]
-                if until is not None and event.time > until:
+                if until is not None and queue[0][0] > until:
                     break
-                heapq.heappop(queue)
-                if event.cancelled:
+                when, _, callback, args = heappop(queue)
+                if callback is None:
                     cancelled += 1
                     continue
-                self._now = event.time
-                event.callback(*event.args)
+                self._now = when
+                callback(*args)
                 dispatched += 1
                 if max_events is not None and dispatched >= max_events:
                     self.budget_exhausted = self._has_runnable(until)

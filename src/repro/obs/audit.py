@@ -34,12 +34,14 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.episodes import LossEpisode, episode_slot_range
-from repro.core.streaming import ConvergencePoint, convergence_points
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.core.streaming import ConvergencePoint
 
 #: Schema identifier of exported audit documents.
 AUDIT_SCHEMA = "repro.obs.audit/1"
@@ -331,6 +333,10 @@ def audit_run(
     :class:`~repro.experiments.runner.GroundTruth`, and ``schedule`` the
     :class:`~repro.core.schedule.GeometricSchedule` the tool ran.
     """
+    # Imported here, not at module level: repro.core imports repro.obs (for
+    # metrics, through repro.net), so a module-level import is a cycle.
+    from repro.core.streaming import convergence_points
+
     slot_width = result.slot_width
     outcomes = result.outcomes
     every = max(1, -(-len(outcomes) // MAX_CONVERGENCE_POINTS))

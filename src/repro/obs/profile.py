@@ -27,8 +27,8 @@ parent, which :meth:`~StageProfiler.absorb`\\ s it.
 The process-global activation plumbing (:data:`~repro.profiling.ACTIVE`,
 :func:`~repro.profiling.profiling`, :func:`~repro.profiling.profile_stage`,
 :func:`~repro.profiling.event`) lives in :mod:`repro.profiling` so hot
-modules can import it without the ``repro.obs`` package cycle; it is
-re-exported here.
+modules can read it without loading the whole ``repro.obs`` package; it
+is re-exported here.
 """
 
 from __future__ import annotations

@@ -204,3 +204,53 @@ def test_exhausted_run_does_not_jump_clock_past_pending_events():
     sim.run(until=1.0)
     assert fired == [1, 2]
     assert sim.now == 1.0
+
+
+def test_event_cancelled_by_earlier_same_time_event_never_fires():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: victim.cancel())
+    victim = sim.schedule(1.0, seen.append, "victim")
+    sim.schedule(1.0, seen.append, "after")
+    assert sim.run() == 2
+    assert seen == ["after"]
+    assert sim.metrics.counter("sim.events_cancelled").value == 1
+
+
+def test_budget_not_exhausted_when_only_cancelled_events_remain():
+    sim = Simulator()
+    sim.schedule(0.1, lambda: None)
+    for delay in (0.2, 0.3):
+        sim.schedule(delay, lambda: None).cancel()
+    sim.schedule(5.0, lambda: None)  # live, but beyond until
+    sim.run(until=1.0, max_events=1)
+    assert not sim.budget_exhausted
+    assert sim.now == 1.0
+
+
+def test_same_time_events_with_unorderable_args_keep_schedule_order():
+    # Heap entries tie on time, so only the sequence number may be compared:
+    # comparing the callbacks or these args would raise TypeError.
+    sim = Simulator()
+    seen = []
+    payloads = [object(), {"b": 1}, object(), {"a": 2}, object()]
+    for payload in payloads:
+        sim.schedule(1.0, lambda item: seen.append(item), payload)
+    for payload in payloads:
+        sim.schedule_at(1.0, seen.append, payload)
+    sim.run()
+    assert [id(item) for item in seen] == [id(item) for item in payloads * 2]
+
+
+def test_cancel_after_firing_is_harmless():
+    sim = Simulator()
+    seen = []
+    event = sim.schedule(0.5, seen.append, "fired")
+    sim.schedule(1.0, seen.append, "later")
+    sim.run(until=0.7)
+    assert (event.time, event.cancelled) == (0.5, False)
+    event.cancel()
+    assert sim.pending() == 1
+    sim.run()
+    assert seen == ["fired", "later"]
+    assert sim.metrics.counter("sim.events_cancelled").value == 0
