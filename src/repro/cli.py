@@ -507,40 +507,32 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 def _cmd_obs_summary(args: argparse.Namespace) -> int:
     import json
 
+    from repro.errors import ObservabilityError
     from repro.obs import load_metrics_document, render_summary, summary_document
-    from repro.obs.schema import validate_trace_file
+    from repro.obs.schema import read_trace, validate_trace_records
 
     document = load_metrics_document(args.metrics)
-    trace_lines = None
+    trace_records = None
     if args.trace:
-        from repro.errors import ObservabilityError
-
-        try:
-            with open(args.trace, "r", encoding="utf-8") as handle:
-                trace_lines = [json.loads(line) for line in handle if line.strip()]
-        except OSError as exc:
-            raise ObservabilityError(f"cannot read trace {args.trace}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(f"{args.trace}: invalid JSON ({exc.msg})")
-        problems = validate_trace_file(args.trace)
+        trace_records = read_trace(args.trace)
+        problems = validate_trace_records(trace_records)
         if problems:
             print(f"warning: trace has {len(problems)} schema problem(s)", file=sys.stderr)
     if args.slow:
-        from repro.errors import ObservabilityError
         from repro.obs.summary import render_slowest_spans
 
-        if trace_lines is None:
+        if trace_records is None:
             raise ObservabilityError("--slow needs a trace file (--trace)")
-        print("\n".join(render_slowest_spans(trace_lines, top=args.slow)))
+        print("\n".join(render_slowest_spans(trace_records, top=args.slow)))
         return 0
     if args.json:
-        print(json.dumps(summary_document(document, trace_lines), indent=2))
+        print(json.dumps(summary_document(document, trace_records), indent=2))
     elif args.by_label or args.by_path:
         from repro.obs import render_grouped_summary
 
-        print(render_grouped_summary(document, trace_lines, by_path=args.by_path))
+        print(render_grouped_summary(document, trace_records, by_path=args.by_path))
     else:
-        print(render_summary(document, trace_lines))
+        print(render_summary(document, trace_records))
     return 0
 
 
@@ -559,90 +551,51 @@ def _cmd_obs_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_validate(args: argparse.Namespace) -> int:
-    from repro.obs.schema import validate_metrics_document, validate_trace_file
+    from repro.errors import ObservabilityError
+    from repro.live.controller import validate_controller_file
+    from repro.obs.artifacts import read_json
+    from repro.obs.bench import validate_bench_document
+    from repro.obs.export import validate_export_file
+    from repro.obs.schema import (
+        validate_audit_document,
+        validate_metrics_document,
+        validate_trace_file,
+    )
 
-    import json
+    def document(what, validate):
+        return lambda path: validate(read_json(path, what, None))
 
-    if not (
-        args.metrics
-        or args.trace
-        or args.audit
-        or args.export
-        or args.bench
-        or args.controller
-    ):
+    # (file, check): a check returns the file's schema problems and
+    # raises ObservabilityError when the file cannot be read or parsed.
+    checks = [
+        (args.metrics, document("metrics document", validate_metrics_document)),
+        (args.trace, validate_trace_file),
+        (args.audit, document("audit document", validate_audit_document)),
+        (args.export, validate_export_file),
+        (args.bench, document("bench document", validate_bench_document)),
+        (args.controller, validate_controller_file),
+    ]
+    checks = [(path, check) for path, check in checks if path]
+    if not checks:
         print(
             "error: nothing to validate — give a metrics file and/or "
             "--trace/--audit/--export/--bench/--controller",
             file=sys.stderr,
         )
         return 2
-    failures = 0
-    if args.metrics:
+    unreadable = failures = 0
+    for path, check in checks:
         try:
-            with open(args.metrics, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            print(f"error: cannot read {args.metrics}: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.metrics}: invalid JSON ({exc.msg})", file=sys.stderr)
-            return 2
-        problems = validate_metrics_document(document)
+            problems = check(path)
+        except ObservabilityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            unreadable += 1
+            continue
         for problem in problems:
-            print(f"{args.metrics}: {problem}", file=sys.stderr)
+            print(f"{path}: {problem}", file=sys.stderr)
         failures += len(problems)
-    if args.trace:
-        trace_problems = validate_trace_file(args.trace)
-        for problem in trace_problems:
-            print(f"{args.trace}: {problem}", file=sys.stderr)
-        failures += len(trace_problems)
-    if args.audit:
-        from repro.obs.schema import validate_audit_document
-
-        try:
-            with open(args.audit, "r", encoding="utf-8") as handle:
-                audit_doc = json.load(handle)
-        except OSError as exc:
-            print(f"error: cannot read {args.audit}: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.audit}: invalid JSON ({exc.msg})", file=sys.stderr)
-            return 2
-        audit_problems = validate_audit_document(audit_doc)
-        for problem in audit_problems:
-            print(f"{args.audit}: {problem}", file=sys.stderr)
-        failures += len(audit_problems)
-    if args.export:
-        from repro.obs.export import validate_export_file
-
-        export_problems = validate_export_file(args.export)
-        for problem in export_problems:
-            print(f"{args.export}: {problem}", file=sys.stderr)
-        failures += len(export_problems)
-    if args.bench:
-        from repro.obs.bench import validate_bench_document
-
-        try:
-            with open(args.bench, "r", encoding="utf-8") as handle:
-                bench_doc = json.load(handle)
-        except OSError as exc:
-            print(f"error: cannot read {args.bench}: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.bench}: invalid JSON ({exc.msg})", file=sys.stderr)
-            return 2
-        bench_problems = validate_bench_document(bench_doc)
-        for problem in bench_problems:
-            print(f"{args.bench}: {problem}", file=sys.stderr)
-        failures += len(bench_problems)
-    if args.controller:
-        from repro.live.controller import validate_controller_file
-
-        controller_problems = validate_controller_file(args.controller)
-        for problem in controller_problems:
-            print(f"{args.controller}: {problem}", file=sys.stderr)
-        failures += len(controller_problems)
+    if unreadable:
+        return 2
     if failures:
         print(f"validation FAILED: {failures} problem(s)", file=sys.stderr)
         return 1
@@ -1025,10 +978,9 @@ def _fleet_template_config(args: argparse.Namespace, overrides=None):
 
 def _fleet_paths(args: argparse.Namespace):
     """PathTarget roster from --roster JSON or --paths name[:faults] list."""
-    import json
-
     from repro.errors import ConfigurationError
     from repro.live import PathTarget
+    from repro.obs.artifacts import read_json
 
     def resolve_faults(name):
         if not name or name == "none":
@@ -1042,15 +994,7 @@ def _fleet_paths(args: argparse.Namespace):
 
     targets = []
     if args.roster:
-        try:
-            with open(args.roster, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read roster {args.roster}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{args.roster}: invalid JSON ({exc.msg})"
-            )
+        document = read_json(args.roster, "roster", None, ConfigurationError)
         entries = document.get("paths") if isinstance(document, dict) else None
         if not isinstance(entries, list) or not entries:
             raise ConfigurationError(

@@ -141,21 +141,29 @@ class GeometricSchedule:
         report (should not happen — loss itself is a report) and the
         experiment is skipped defensively.
         """
-        outcomes: List[ExperimentOutcome] = []
-        for experiment in self.experiments:
-            bits = []
-            for slot in experiment.slots:
-                state = slot_states.get(slot)
-                if state is None:
-                    break
-                bits.append(int(state))
-            else:
-                outcomes.append(ExperimentOutcome(experiment.start_slot, tuple(bits)))
-        return outcomes
+        return experiment_outcomes(self.experiments, slot_states)
 
     def coverage_from_states(self, slot_states: Dict[int, bool]) -> CoverageReport:
         """Quantify how much of the plan the marked states actually cover."""
         return coverage_report(self.experiments, slot_states)
+
+
+def experiment_outcomes(
+    experiments: Sequence[Experiment], slot_states: Dict[int, bool]
+) -> List[ExperimentOutcome]:
+    """y_i for every experiment whose slots all have a marked state, in
+    plan order. Shared by the live tool and offline traces."""
+    outcomes: List[ExperimentOutcome] = []
+    for experiment in experiments:
+        bits = []
+        for slot in experiment.slots:
+            state = slot_states.get(slot)
+            if state is None:
+                break
+            bits.append(int(state))
+        else:
+            outcomes.append(ExperimentOutcome(experiment.start_slot, tuple(bits)))
+    return outcomes
 
 
 def coverage_report(

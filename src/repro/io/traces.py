@@ -34,7 +34,7 @@ from repro.core.badabing import BadabingResult, BadabingTool
 from repro.core.estimators import estimate_from_outcomes
 from repro.core.marking import CongestionMarker
 from repro.core.records import ExperimentOutcome, ProbeRecord
-from repro.core.schedule import Experiment, coverage_report
+from repro.core.schedule import Experiment, coverage_report, experiment_outcomes
 from repro.core.validation import validate_outcomes
 from repro.errors import ConfigurationError, TraceFormatError
 
@@ -71,19 +71,7 @@ class Measurement:
 
     def outcomes(self, slot_states: Dict[int, bool]) -> List[ExperimentOutcome]:
         """Assemble y_i values from marked slot states."""
-        outcomes: List[ExperimentOutcome] = []
-        for experiment in self.experiments:
-            bits = []
-            for slot in experiment.slots:
-                state = slot_states.get(slot)
-                if state is None:
-                    break
-                bits.append(int(state))
-            else:
-                outcomes.append(
-                    ExperimentOutcome(experiment.start_slot, tuple(bits))
-                )
-        return outcomes
+        return experiment_outcomes(self.experiments, slot_states)
 
 
 def measurement_from_tool(

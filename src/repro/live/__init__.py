@@ -37,7 +37,6 @@ from repro.live.controller import (
     FleetController,
     LaunchDirective,
     PathTarget,
-    read_controller_events,
     shard_label,
     validate_controller_file,
     validate_controller_record,
@@ -82,7 +81,6 @@ __all__ = [
     "FleetController",
     "LaunchDirective",
     "PathTarget",
-    "read_controller_events",
     "shard_label",
     "validate_controller_file",
     "validate_controller_record",

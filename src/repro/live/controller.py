@@ -42,9 +42,7 @@ without a controller attached.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -58,7 +56,7 @@ from repro.core.validation import (
 )
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.net.simulator import _stable_seed
-from repro.obs.artifacts import ensure_parent_dir
+from repro.obs.artifacts import NdjsonWriter, validate_ndjson
 from repro.obs.metrics import MetricsRegistry, NullRegistry, snapshot_digest
 
 #: Schema identifier carried by every controller event record.
@@ -248,33 +246,6 @@ def shard_label(path: str, round_index: int) -> str:
     return f"{path}/session[{round_index}]"
 
 
-class ControllerEventWriter:
-    """Append-only NDJSON event log, flushed per record."""
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        ensure_parent_dir(self.path, "controller events")
-        try:
-            self._handle = open(self.path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ObservabilityError(
-                f"cannot write controller events {self.path}: {exc}"
-            ) from exc
-
-    def write(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            return
-        self._handle.write(
-            json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
-        )
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
 class FleetController:
     """Deterministic multi-path probe-budget rebalancer.
 
@@ -326,7 +297,7 @@ class FleetController:
         self.events: List[Dict[str, Any]] = []
         self._start_ns = self.clock.now_ns()
         self._writer = (
-            ControllerEventWriter(events_path) if events_path else None
+            NdjsonWriter(events_path, "controller events") if events_path else None
         )
         self._finalized = False
         if self.registry.enabled:
@@ -769,33 +740,6 @@ class FleetController:
 
 
 # ------------------------------------------------------------------ validation
-def read_controller_events(path, tolerate_truncation: bool = True) -> List[Dict[str, Any]]:
-    """Read a controller NDJSON event log into records.
-
-    A truncated *final* line (process killed mid-write) is dropped when
-    ``tolerate_truncation``; truncation anywhere else is an error.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read controller events {path}: {exc}")
-    records: List[Dict[str, Any]] = []
-    for number, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            records.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            if tolerate_truncation and number == len(lines):
-                break
-            raise ObservabilityError(
-                f"{path}: line {number} is invalid JSON ({exc.msg})"
-            )
-    return records
-
-
 def validate_controller_record(record: Any, where: str = "record") -> List[str]:
     """Structural validation of one controller event (list of problems)."""
     if not isinstance(record, dict):
@@ -859,33 +803,17 @@ def validate_controller_record(record: Any, where: str = "record") -> List[str]:
 
 def validate_controller_file(path) -> List[str]:
     """Validate a controller event log: per-record schema, strictly
-    increasing sequence numbers, at most one (trailing) ``final``
-    record. Returns a problem list (empty = valid)."""
-    try:
-        records = read_controller_events(path)
-    except ObservabilityError as exc:
-        return [str(exc)]
-    if not records:
-        return [f"{path}: no controller events"]
-    problems: List[str] = []
-    previous_seq = 0
-    final_at: Optional[int] = None
-    for index, record in enumerate(records):
-        where = f"events[{index}]"
-        problems.extend(validate_controller_record(record, where))
-        seq = record.get("seq")
-        if isinstance(seq, int) and not isinstance(seq, bool):
-            if seq <= previous_seq:
-                problems.append(
-                    f"{where}.seq: {seq} not greater than previous {previous_seq}"
-                )
-            previous_seq = seq
-        if record.get("kind") == "final":
-            if final_at is not None:
-                problems.append(f"{where}: duplicate 'final' event")
-            final_at = index
-    if final_at is not None and final_at != len(records) - 1:
-        problems.append(
-            f"events[{final_at}]: 'final' event is not the last record"
-        )
-    return problems
+    increasing sequence numbers, at most one ``final`` event and nothing
+    after it. Returns a problem list (empty = valid); raises
+    :class:`ObservabilityError` when the log cannot be read or parsed."""
+    final_at: List[str] = []
+
+    def validate(record: Any, where: str) -> List[str]:
+        problems = validate_controller_record(record, where)
+        if final_at:
+            problems.append(f"{where}: follows the 'final' event {final_at[0]}")
+        elif isinstance(record, dict) and record.get("kind") == "final":
+            final_at.append(where)
+        return problems
+
+    return validate_ndjson(path, "controller events", validate)

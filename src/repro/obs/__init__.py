@@ -19,7 +19,6 @@ See DESIGN.md §8 for the span taxonomy and document schemas.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
 
 from repro.obs.alerts import (
@@ -32,7 +31,7 @@ from repro.obs.alerts import (
     load_alert_rules,
     write_alert_rules,
 )
-from repro.obs.artifacts import ensure_parent_dir, open_artifact
+from repro.obs.artifacts import ensure_parent_dir, write_json
 from repro.obs.bench import (
     BENCH_SCHEMA,
     BenchRecorder,
@@ -73,10 +72,8 @@ from repro.obs.dash import (
 from repro.obs.export import (
     EXPORT_SCHEMA,
     SESSIONS_SCHEMA,
-    SnapshotWriter,
     TelemetryExporter,
     parse_key,
-    read_export_records,
     render_exposition,
     rollup_sessions,
     sessions_document,
@@ -117,7 +114,7 @@ from repro.obs.schema import (
     validate_audit_document,
     validate_metrics_document,
     validate_trace_file,
-    validate_trace_lines,
+    validate_trace_records,
 )
 from repro.obs.summary import (
     group_label_path,
@@ -149,7 +146,7 @@ __all__ = [
     "summary_document",
     "validate_metrics_document",
     "validate_trace_file",
-    "validate_trace_lines",
+    "validate_trace_records",
     "load_metrics_document",
     "write_metrics_document",
     "metrics_document",
@@ -178,7 +175,6 @@ __all__ = [
     "SESSIONS_SCHEMA",
     "ALERT_RULES_SCHEMA",
     "TelemetryExporter",
-    "SnapshotWriter",
     "AlertRule",
     "AlertRules",
     "AlertEvent",
@@ -191,7 +187,6 @@ __all__ = [
     "parse_key",
     "rollup_sessions",
     "sessions_document",
-    "read_export_records",
     "validate_export_record",
     "validate_export_file",
     "dashboard_lines",
@@ -203,7 +198,6 @@ __all__ = [
     "split_snapshot_by_label",
     "split_snapshot_by_path",
     "ensure_parent_dir",
-    "open_artifact",
     # profiling + perf trajectory (DESIGN.md §14)
     "PROFILE_SCHEMA",
     "BENCH_SCHEMA",
@@ -248,7 +242,5 @@ def write_metrics_document(
     """Write the combined manifest + snapshot JSON document to ``path``,
     creating missing parent directories."""
     document = metrics_document(registry, manifest)
-    with open_artifact(path, "metrics document") as handle:
-        json.dump(document, handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    write_json(path, document, "metrics document")
     return document

@@ -18,14 +18,13 @@ byte-identical with and without export enabled.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import profiling as _profiling
 from repro.errors import ObservabilityError
-from repro.obs.artifacts import open_artifact
+from repro.obs.artifacts import read_json, write_json
 
 #: Schema identifier for serialized rule lists.
 ALERT_RULES_SCHEMA = "repro.obs.alerts/1"
@@ -450,30 +449,14 @@ def validate_rules_document(document: Any) -> List[str]:
 
 def load_alert_rules(path) -> List[AlertRule]:
     """Read a ``{"schema", "rules": [...]}`` JSON file into rule objects."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read alert rules {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
-    problems = validate_rules_document(document)
-    if problems:
-        raise ObservabilityError(
-            f"{path} failed validation: " + "; ".join(problems[:5])
-        )
+    document = read_json(path, "alert rules", validate_rules_document)
     return [AlertRule.from_dict(raw) for raw in document["rules"]]
 
 
 def write_alert_rules(path, rules: Sequence[AlertRule]) -> None:
     """Serialize a rule list as the JSON document :func:`load_alert_rules` reads."""
-    with open_artifact(path, "alert rules") as handle:
-        json.dump(
-            {
-                "schema": ALERT_RULES_SCHEMA,
-                "rules": [rule.to_dict() for rule in rules],
-            },
-            handle,
-            indent=2,
-        )
-        handle.write("\n")
+    write_json(
+        path,
+        {"schema": ALERT_RULES_SCHEMA, "rules": [rule.to_dict() for rule in rules]},
+        "alert rules",
+    )

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.episodes import LossEpisode, episode_slot_range
-from repro.errors import ObservabilityError
+from repro.obs.artifacts import write_json
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
@@ -650,12 +650,5 @@ def audit_document(
 
 def write_audit_document(path, document: Dict[str, Any]) -> Dict[str, Any]:
     """Write an audit document as JSON (strict: no NaN/Infinity)."""
-    from repro.obs.artifacts import open_artifact
-
-    try:
-        payload = json.dumps(document, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise ObservabilityError(f"audit document is not strict JSON: {exc}")
-    with open_artifact(path, "audit document") as handle:
-        handle.write(payload + "\n")
+    write_json(path, document, "audit document")
     return document

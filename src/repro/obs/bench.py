@@ -16,15 +16,13 @@ structural validators returning problem lists, ``load_*`` raising
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.artifacts import open_artifact
-from repro.obs.schema import check
+from repro.obs.artifacts import check, read_json, write_json
 
 #: Schema identifier for bench documents.
 BENCH_SCHEMA = "repro.obs.bench/1"
@@ -192,23 +190,13 @@ def stage_names(document: Dict[str, Any]) -> List[str]:
 def write_bench_document(path, document: Dict[str, Any]) -> Dict[str, Any]:
     """Validate and write a bench document (creating parent dirs)."""
     check(validate_bench_document(document), "bench document")
-    with open_artifact(path, "bench document") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, document, "bench document")
     return document
 
 
 def load_bench_document(path) -> Dict[str, Any]:
     """Read + validate a bench document, raising on schema problems."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read bench document {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
-    check(validate_bench_document(document), str(path))
-    return document
+    return read_json(path, "bench document", validate_bench_document)
 
 
 # ------------------------------------------------------------------ comparison

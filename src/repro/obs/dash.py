@@ -23,7 +23,8 @@ import urllib.request
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ObservabilityError
-from repro.obs.export import read_export_records, sessions_document
+from repro.obs.artifacts import read_ndjson
+from repro.obs.export import sessions_document
 
 #: ANSI clear-screen + home prefix used between live frames.
 CLEAR = "\x1b[2J\x1b[H"
@@ -162,7 +163,7 @@ def document_from_export_record(record: Dict[str, Any]) -> Dict[str, Any]:
 
 def replay_documents(path) -> Iterator[Dict[str, Any]]:
     """Sessions documents for every record in a recorded export stream."""
-    records = read_export_records(path)
+    records = read_ndjson(path, "export records", tolerate_truncation=True)
     if not records:
         raise ObservabilityError(f"{path}: no export records to replay")
     for record in records:

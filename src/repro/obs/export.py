@@ -8,10 +8,10 @@ validated as it runs, not post-hoc.
 
 Three pieces:
 
-* :class:`SnapshotWriter` — newline-delimited JSON records with
-  monotonic sequence numbers and bounded single-file rotation, so a
-  multi-hour soak cannot fill the disk and a crash mid-write loses at
-  most the last line.
+* The snapshot stream — newline-delimited JSON records with monotonic
+  sequence numbers, written by a rotating
+  :class:`~repro.obs.artifacts.NdjsonWriter` so a multi-hour soak
+  cannot fill the disk and a crash mid-write loses at most the last line.
 * :class:`TelemetryExporter` — periodically snapshots a live
   :class:`~repro.obs.metrics.MetricsRegistry`, runs the attached
   :class:`~repro.obs.alerts.AlertRules`, appends an export record, and
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import re
 import threading
 import time
@@ -47,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import profiling as _profiling
 from repro.errors import ObservabilityError
 from repro.obs.alerts import AlertRule, AlertRules
-from repro.obs.artifacts import ensure_parent_dir
+from repro.obs.artifacts import NdjsonWriter, validate_ndjson
 from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
@@ -72,71 +71,6 @@ GROUP_LABEL_KEYS = ("session", "cell")
 _FREQUENCY_SERIES = ("audit.f_hat", "live.frequency")
 
 
-# --------------------------------------------------------------------- writer
-class SnapshotWriter:
-    """Append-only NDJSON writer with bounded single-generation rotation.
-
-    When the current file would exceed ``max_bytes`` the handle is closed,
-    the file renamed to ``<path>.1`` (replacing any previous generation),
-    and a fresh file opened — total disk use stays under ~2×``max_bytes``
-    for arbitrarily long runs. Every record is flushed as one line, so a
-    killed process leaves at most one truncated trailing line (the reader
-    side tolerates exactly that).
-    """
-
-    def __init__(self, path, max_bytes: int = 16_000_000):
-        if max_bytes < 4096:
-            raise ObservabilityError(f"max_bytes must be >= 4096, got {max_bytes}")
-        self.path = os.fspath(path)
-        self.max_bytes = max_bytes
-        self.rotations = 0
-        self.records_written = 0
-        self._bytes = 0
-        ensure_parent_dir(self.path, "export snapshots")
-        self._handle = self._open()
-
-    def _open(self):
-        try:
-            return open(self.path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ObservabilityError(
-                f"cannot write export snapshots {self.path}: {exc}"
-            ) from exc
-
-    def write(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            return
-        line = json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
-        if self._bytes and self._bytes + len(line) > self.max_bytes:
-            self._rotate()
-        self._handle.write(line)
-        self._handle.flush()
-        self._bytes += len(line)
-        self.records_written += 1
-
-    def _rotate(self) -> None:
-        self._handle.close()
-        try:
-            os.replace(self.path, self.path + ".1")
-        except OSError as exc:
-            raise ObservabilityError(
-                f"cannot rotate export snapshots {self.path}: {exc}"
-            ) from exc
-        self._handle = self._open()
-        self._bytes = 0
-        self.rotations += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            self._handle.close()
-            self._handle = None
-
-    @property
-    def closed(self) -> bool:
-        return self._handle is None
-
-
 # ------------------------------------------------------------------- exporter
 class TelemetryExporter:
     """Periodic registry → snapshot-stream/HTTP bridge with alerting.
@@ -149,7 +83,8 @@ class TelemetryExporter:
     interval:
         Seconds between periodic exports (asyncio task or thread mode).
     path:
-        Optional NDJSON snapshot file (see :class:`SnapshotWriter`).
+        Optional NDJSON snapshot file, rotated past ``max_bytes``
+        (see :class:`~repro.obs.artifacts.NdjsonWriter`).
     http_port:
         Enable the HTTP endpoint on this port when :meth:`start` runs
         inside asyncio; ``0`` binds an ephemeral port (read the bound
@@ -198,7 +133,9 @@ class TelemetryExporter:
         self._t0 = clock()
         self._lock = threading.Lock()
         self._writer = (
-            SnapshotWriter(path, max_bytes) if (path is not None and self.enabled) else None
+            NdjsonWriter(path, "export records", max_bytes)
+            if (path is not None and self.enabled)
+            else None
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._task: Optional[asyncio.Task] = None
@@ -633,52 +570,8 @@ def validate_export_record(record: Any, where: str = "record") -> List[str]:
     return problems
 
 
-def read_export_records(path, tolerate_truncation: bool = True) -> List[Dict[str, Any]]:
-    """Read an NDJSON export stream into records.
-
-    A truncated *final* line (process killed mid-write) is dropped when
-    ``tolerate_truncation``; truncation anywhere else is an error.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read export snapshots {path}: {exc}")
-    records: List[Dict[str, Any]] = []
-    for number, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            records.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            if tolerate_truncation and number == len(lines):
-                break
-            raise ObservabilityError(
-                f"{path}: line {number} is invalid JSON ({exc.msg})"
-            )
-    return records
-
-
 def validate_export_file(path) -> List[str]:
     """Validate a recorded snapshot stream: per-record schema + digest,
-    strictly increasing sequence numbers. Returns a problem list."""
-    try:
-        records = read_export_records(path)
-    except ObservabilityError as exc:
-        return [str(exc)]
-    if not records:
-        return [f"{path}: no export records"]
-    problems: List[str] = []
-    previous_seq = 0
-    for index, record in enumerate(records):
-        where = f"records[{index}]"
-        problems.extend(validate_export_record(record, where))
-        seq = record.get("seq")
-        if isinstance(seq, int) and not isinstance(seq, bool):
-            if seq <= previous_seq:
-                problems.append(
-                    f"{where}.seq: {seq} not greater than previous {previous_seq}"
-                )
-            previous_seq = seq
-    return problems
+    strictly increasing sequence numbers. Returns a problem list; raises
+    :class:`ObservabilityError` when the stream cannot be read or parsed."""
+    return validate_ndjson(path, "export records", validate_export_record)

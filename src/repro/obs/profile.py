@@ -33,7 +33,6 @@ is re-exported here.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
@@ -424,10 +423,12 @@ class StageProfiler:
     def write_jsonl(self, path) -> None:
         """Write the span log as a ``repro.obs.trace/1`` JSONL file: the
         meta line, then every span and event sorted by ``t0``."""
-        from repro.obs.artifacts import open_artifact
+        from repro.obs.artifacts import NdjsonWriter
 
-        records = [{"type": "meta", "schema": TRACE_SCHEMA, **self.meta}]
-        records.extend(sorted(self.spans, key=lambda span: span["t0"]))
-        with open_artifact(path, "trace") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
+        writer = NdjsonWriter(path, "trace")
+        try:
+            writer.write({"type": "meta", "schema": TRACE_SCHEMA, **self.meta})
+            for span in sorted(self.spans, key=lambda span: span["t0"]):
+                writer.write(span)
+        finally:
+            writer.close()

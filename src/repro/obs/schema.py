@@ -2,17 +2,16 @@
 
 Zero-dependency structural validation (no jsonschema): each validator
 returns a list of human-readable problems (empty == valid), and the
-``check_*`` wrappers raise :class:`~repro.errors.ObservabilityError`
+``load_*`` readers raise :class:`~repro.errors.ObservabilityError`
 instead. CI runs these over the artifacts of an instrumented measure so
 a malformed emitter fails the build, not a downstream dashboard.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List
 
-from repro.errors import ObservabilityError
+from repro.obs.artifacts import read_json, read_ndjson
 from repro.obs.audit import AUDIT_SCHEMA, EPISODE_STATUSES
 from repro.obs.manifest import MANIFEST_SCHEMA
 from repro.obs.profile import TRACE_SCHEMA
@@ -228,87 +227,61 @@ def validate_audit_document(document: Any) -> List[str]:
 
 def load_audit_document(path) -> Dict[str, Any]:
     """Read + validate an audit document, raising on schema problems."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read audit document {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
-    check(validate_audit_document(document), str(path))
-    return document
+    return read_json(path, "audit document", validate_audit_document)
 
 
-def validate_trace_lines(lines: Iterable[str]) -> List[str]:
-    """Validate a trace JSONL stream (meta line + span/event records)."""
+def validate_trace_record(record: Any, where: str) -> List[str]:
+    """Structural validation of one span-trace record (list of problems)."""
+    if not isinstance(record, dict) or "type" not in record:
+        return [f"{where}: expected an object with 'type'"]
     problems: List[str] = []
-    saw_meta = False
-    count = 0
-    for number, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        count += 1
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            problems.append(f"trace line {number}: invalid JSON ({exc.msg})")
-            continue
-        if not isinstance(record, dict) or "type" not in record:
-            problems.append(f"trace line {number}: expected an object with 'type'")
-            continue
-        kind = record["type"]
-        if kind == "meta":
-            saw_meta = True
-            if record.get("schema") != TRACE_SCHEMA:
-                problems.append(
-                    f"trace line {number}: meta schema is {record.get('schema')!r}, "
-                    f"expected {TRACE_SCHEMA!r}"
-                )
-        elif kind in ("span", "event"):
-            for name, types in (
-                ("name", str),
-                ("t0", (int, float)),
-                ("dur", (int, float)),
-                ("attrs", dict),
-            ):
-                if name not in record or not isinstance(record[name], types):
-                    problems.append(
-                        f"trace line {number}: {kind} field {name!r} missing or mistyped"
-                    )
-            if _is_number(record.get("dur")) and record["dur"] < 0:
-                problems.append(f"trace line {number}: negative duration")
-        else:
-            problems.append(f"trace line {number}: unknown record type {kind!r}")
-    if count and not saw_meta:
+    kind = record["type"]
+    if kind == "meta":
+        if record.get("schema") != TRACE_SCHEMA:
+            problems.append(
+                f"{where}: meta schema is {record.get('schema')!r}, "
+                f"expected {TRACE_SCHEMA!r}"
+            )
+    elif kind in ("span", "event"):
+        for name, types in (
+            ("name", str),
+            ("t0", (int, float)),
+            ("dur", (int, float)),
+            ("attrs", dict),
+        ):
+            if name not in record or not isinstance(record[name], types):
+                problems.append(f"{where}: {kind} field {name!r} missing or mistyped")
+        if _is_number(record.get("dur")) and record["dur"] < 0:
+            problems.append(f"{where}: negative duration")
+    else:
+        problems.append(f"{where}: unknown record type {kind!r}")
+    return problems
+
+
+def validate_trace_records(records: List[Any]) -> List[str]:
+    """Validate a parsed span trace: every record, plus a meta line."""
+    problems: List[str] = []
+    for index, record in enumerate(records):
+        problems.extend(validate_trace_record(record, f"trace record {index}"))
+    if records and not any(
+        isinstance(record, dict) and record.get("type") == "meta"
+        for record in records
+    ):
         problems.append("trace: no meta line found")
     return problems
 
 
+def read_trace(path) -> List[Any]:
+    """Read a span trace strictly: any line that is not JSON is an error."""
+    return read_ndjson(path, "trace", tolerate_truncation=False)
+
+
 def validate_trace_file(path) -> List[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return validate_trace_lines(handle)
-    except OSError as exc:
-        return [f"trace: cannot read {path}: {exc}"]
-
-
-def check(problems: List[str], what: str) -> None:
-    """Raise :class:`ObservabilityError` if any problems were found."""
-    if problems:
-        preview = "; ".join(problems[:5])
-        more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
-        raise ObservabilityError(f"{what} failed validation: {preview}{more}")
+    """Validate a ``repro.obs.trace/1`` file; raises when it cannot be
+    read or parsed."""
+    return validate_trace_records(read_trace(path))
 
 
 def load_metrics_document(path) -> Dict[str, Any]:
     """Read + validate a metrics document, raising on schema problems."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read metrics document {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
-    check(validate_metrics_document(document), str(path))
-    return document
+    return read_json(path, "metrics document", validate_metrics_document)

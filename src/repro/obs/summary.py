@@ -7,8 +7,7 @@ then the slow spans — without any plotting dependency.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 
 def _fmt(value: float) -> str:
@@ -98,23 +97,22 @@ def _sparkline(hist: Dict[str, Any]) -> str:
     return f"[{cells}] {lo:g}..{hi:g}+"
 
 
-def aggregate_trace(lines_in: Iterable[Any]) -> Dict[str, Dict[str, float]]:
-    """Aggregate a trace stream (JSONL strings or parsed dicts) into
-    per-span-name ``{count, total_s, max_s}`` totals."""
+def _finished_spans(records: Iterable[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
+    """The span records of a parsed trace that carry a duration."""
+    for record in records:
+        if (
+            isinstance(record, dict)
+            and record.get("type") == "span"
+            and record.get("dur") is not None
+        ):
+            yield record
+
+
+def aggregate_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:
+    """Aggregate parsed trace records into per-span-name
+    ``{count, total_s, max_s}`` totals."""
     summary: Dict[str, Dict[str, float]] = {}
-    for raw in lines_in:
-        if isinstance(raw, dict):
-            record = raw
-        else:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-        if record.get("type") != "span" or record.get("dur") is None:
-            continue
+    for record in _finished_spans(records):
         entry = summary.setdefault(
             record["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
         )
@@ -124,9 +122,9 @@ def aggregate_trace(lines_in: Iterable[Any]) -> Dict[str, Dict[str, float]]:
     return summary
 
 
-def render_trace_summary(lines_in: Iterable[Any], top: int = 15) -> List[str]:
+def render_trace_summary(records: Iterable[Dict[str, Any]], top: int = 15) -> List[str]:
     """Render a trace stream's span totals, slowest first."""
-    summary = aggregate_trace(lines_in)
+    summary = aggregate_trace(records)
     if not summary:
         return []
     lines = ["spans (by total wall time):"]
@@ -140,37 +138,22 @@ def render_trace_summary(lines_in: Iterable[Any], top: int = 15) -> List[str]:
 
 
 def slowest_spans(
-    lines_in: Iterable[Any], top: int = 10
+    records: Iterable[Dict[str, Any]], top: int = 10
 ) -> List[Dict[str, Any]]:
-    """The ``top`` individually slowest finished spans in a trace stream.
+    """The ``top`` individually slowest finished spans in a parsed trace.
 
     Unlike :func:`aggregate_trace` (per-name totals), this keeps the raw
     span records — one hot outlier is visible even when its name's total
-    is dwarfed by a chatty neighbour. Accepts JSONL strings or parsed
-    dicts; unfinished spans (``dur`` null) and junk lines are skipped.
+    is dwarfed by a chatty neighbour. Unfinished spans (``dur`` null) are
+    skipped.
     """
-    spans: List[Dict[str, Any]] = []
-    for raw in lines_in:
-        if isinstance(raw, dict):
-            record = raw
-        else:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-        if record.get("type") != "span" or record.get("dur") is None:
-            continue
-        spans.append(record)
-    spans.sort(key=lambda span: -span["dur"])
+    spans = sorted(_finished_spans(records), key=lambda span: -span["dur"])
     return spans[: max(0, top)]
 
 
-def render_slowest_spans(lines_in: Iterable[Any], top: int = 10) -> List[str]:
+def render_slowest_spans(records: Iterable[Dict[str, Any]], top: int = 10) -> List[str]:
     """Render the top-N slowest individual spans (``obs summary --slow``)."""
-    ranked = slowest_spans(lines_in, top=top)
+    ranked = slowest_spans(records, top=top)
     if not ranked:
         return ["no finished spans in trace"]
     lines = [f"slowest {len(ranked)} spans:"]
@@ -189,7 +172,7 @@ def render_slowest_spans(lines_in: Iterable[Any], top: int = 10) -> List[str]:
 
 def render_summary(
     document: Dict[str, Any],
-    trace_lines: Optional[Iterable[str]] = None,
+    trace_records: Optional[List[Dict[str, Any]]] = None,
 ) -> str:
     """Full ``obs summary`` report for one metrics document (+ trace)."""
     out: List[str] = []
@@ -197,14 +180,14 @@ def render_summary(
     if manifest:
         out.extend(render_manifest(manifest))
     out.extend(render_snapshot(document.get("metrics", {})))
-    if trace_lines is not None:
-        out.extend(render_trace_summary(trace_lines))
+    if trace_records is not None:
+        out.extend(render_trace_summary(trace_records))
     return "\n".join(out)
 
 
 def summary_document(
     document: Dict[str, Any],
-    trace_lines: Optional[Iterable[str]] = None,
+    trace_records: Optional[List[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Machine-readable twin of :func:`render_summary` (``--json``).
 
@@ -236,7 +219,7 @@ def summary_document(
         },
         "histograms": histograms,
         "series": series,
-        "spans": aggregate_trace(trace_lines) if trace_lines is not None else None,
+        "spans": aggregate_trace(trace_records) if trace_records is not None else None,
     }
 
 
@@ -310,7 +293,7 @@ def split_snapshot_by_path(
 
 def render_grouped_summary(
     document: Dict[str, Any],
-    trace_lines: Optional[Iterable[str]] = None,
+    trace_records: Optional[List[Dict[str, Any]]] = None,
     group_keys: Iterable[str] = ("session", "cell"),
     top: int = 10,
     by_path: bool = False,
@@ -330,7 +313,7 @@ def render_grouped_summary(
     if not groups:
         return (
             "(no shard labels found — showing the flat summary)\n"
-            + render_summary(document, trace_lines)
+            + render_summary(document, trace_records)
         )
     out: List[str] = []
     manifest = document.get("manifest")
@@ -346,9 +329,9 @@ def render_grouped_summary(
         out.append("")
         out.append("── shared (aggregated across shards) " + "─" * 4)
         out.extend(render_snapshot(shared, top=top))
-    if trace_lines is not None:
+    if trace_records is not None:
         out.append("")
-        out.extend(render_trace_summary(trace_lines))
+        out.extend(render_trace_summary(trace_records))
     return "\n".join(out)
 
 

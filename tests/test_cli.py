@@ -1,8 +1,23 @@
 """Tests for the command-line front end."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import BadabingConfig
+from repro.live.controller import FleetController, PathTarget
+from repro.obs import (
+    MetricsRegistry,
+    StageProfiler,
+    TelemetryExporter,
+    audit_document,
+    make_bench_document,
+    scorecard_from_runs,
+    write_audit_document,
+    write_bench_document,
+    write_metrics_document,
+)
 
 
 def test_list_command(capsys):
@@ -98,3 +113,52 @@ def test_analyze_rejects_garbage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "badabing-trace" in err or "nope" in err
+
+
+def _write_trace(path):
+    profiler = StageProfiler()
+    with profiler.stage("sim.run"):
+        pass
+    profiler.write_jsonl(path)
+
+
+#: A writer of one valid artifact per ``obs validate`` kind.
+_VALID_ARTIFACT = {
+    "metrics": lambda path: write_metrics_document(path, MetricsRegistry()),
+    "trace": _write_trace,
+    "audit": lambda path: write_audit_document(
+        path, audit_document(scorecard_from_runs([]))
+    ),
+    "export": lambda path: TelemetryExporter(MetricsRegistry(), path=path).close(),
+    "bench": lambda path: write_bench_document(
+        path, make_bench_document("test", {"cell": {"wall_seconds": 1.0}})
+    ),
+    "controller": lambda path: FleetController(
+        [PathTarget("a", BadabingConfig())], events_path=path
+    ).finalize(),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "not-json", "schema-invalid", "valid"])
+@pytest.mark.parametrize("kind", sorted(_VALID_ARTIFACT))
+def test_obs_validate_exit_contract(kind, case, tmp_path, capsys):
+    """One contract for every kind: exit 2 if a file cannot be read or
+    parsed, else 1 on schema problems, else 0; every named file is checked."""
+    path = tmp_path / f"{kind}.out"
+    if case == "valid":
+        _VALID_ARTIFACT[kind](path)
+    elif case == "not-json":
+        path.write_text("{not json\n{not json\n")
+    elif case == "schema-invalid":
+        path.write_text(json.dumps({"schema": "nope", "seq": 1}) + "\n")
+    named = ([] if kind == "metrics" else [f"--{kind}"]) + [str(path)]
+    expected = {"missing": 2, "not-json": 2, "schema-invalid": 1, "valid": 0}[case]
+    assert main(["obs", "validate", *named]) == expected
+
+    other = "export" if kind == "controller" else "controller"
+    companion = tmp_path / "companion.ndjson"
+    companion.write_text(json.dumps({"schema": "nope", "seq": 1}) + "\n")
+    capsys.readouterr()
+    code = main(["obs", "validate", *named, f"--{other}", str(companion)])
+    assert code == max(expected, 1)
+    assert f"{companion}: " in capsys.readouterr().err

@@ -28,12 +28,12 @@ from repro.live.controller import (
     ControllerPolicy,
     FleetController,
     PathTarget,
-    read_controller_events,
     shard_label,
     validate_controller_file,
     validate_controller_record,
 )
 from repro.obs.alerts import AlertRules, controller_alert_rules
+from repro.obs.artifacts import read_ndjson
 from repro.obs.export import rollup_sessions
 from repro.obs.metrics import MetricsRegistry, snapshot_digest
 from repro.obs.summary import (
@@ -383,7 +383,7 @@ def test_controller_event_log_roundtrip_and_validation(tmp_path):
     controller.on_session_complete("a", retry.round_index, 0.1, clean_report(100))
     controller.finalize()
 
-    records = read_controller_events(events_path)
+    records = read_ndjson(events_path, "controller events", tolerate_truncation=True)
     assert [r["kind"] for r in records] == [
         "rebalance", "busy", "rebalance", "complete", "final",
     ]
@@ -391,16 +391,13 @@ def test_controller_event_log_roundtrip_and_validation(tmp_path):
     assert validate_controller_file(events_path) == []
     assert main(["obs", "validate", "--controller", str(events_path)]) == 0
 
-    # A truncated trailing line (killed mid-write) is tolerated...
-    truncated = tmp_path / "truncated.ndjson"
-    lines = events_path.read_text().splitlines()
-    truncated.write_text("\n".join(lines[:-1]) + '\n{"schema": "re')
-    assert validate_controller_file(truncated) == []
-    # ...corruption anywhere else is not.
-    corrupt = tmp_path / "corrupt.ndjson"
-    corrupt.write_text(lines[0] + "\n{nope}\n" + lines[2] + "\n")
-    assert validate_controller_file(corrupt)
-    assert main(["obs", "validate", "--controller", str(corrupt)]) == 1
+    # Nothing may follow the single trailing ``final`` event.
+    after_final = tmp_path / "after-final.ndjson"
+    extra = {**records[-1], "seq": records[-1]["seq"] + 1}
+    after_final.write_text(events_path.read_text() + json.dumps(extra) + "\n")
+    assert validate_controller_file(after_final) == [
+        "records[5]: follows the 'final' event records[4]"
+    ]
 
 
 def test_validate_controller_record_flags_structural_problems():

@@ -1,7 +1,7 @@
 """Tests for the streaming telemetry exporter and alert-rule engine.
 
-Covers the NDJSON snapshot writer (rotation, truncation tolerance),
-export-record/file validation, the Prometheus-style exposition renderer,
+Covers the NDJSON snapshot writer (rotation), export-record/file
+validation, the Prometheus-style exposition renderer,
 the asyncio HTTP endpoint, the NullRegistry zero-cost gate, the alert
 engine's four rule kinds with debounce and transitions, the determinism
 contract (monitored-registry digests are byte-identical with and without
@@ -29,13 +29,12 @@ from repro.obs.alerts import (
     validate_rules_document,
     write_alert_rules,
 )
+from repro.obs.artifacts import NdjsonWriter, read_ndjson
 from repro.obs.export import (
     EXPORT_SCHEMA,
     SESSIONS_SCHEMA,
-    SnapshotWriter,
     TelemetryExporter,
     parse_key,
-    read_export_records,
     render_exposition,
     rollup_sessions,
     sessions_document,
@@ -66,11 +65,11 @@ def populated_registry():
     return reg
 
 
-# ------------------------------------------------------------ SnapshotWriter
+# ------------------------------------------------- snapshot stream writer
 class TestSnapshotWriter:
     def test_appends_one_flushed_line_per_record(self, tmp_path):
         path = tmp_path / "out.ndjson"
-        writer = SnapshotWriter(path)
+        writer = NdjsonWriter(path, "export records")
         writer.write({"seq": 1})
         writer.write({"seq": 2})
         lines = path.read_text().splitlines()
@@ -81,14 +80,14 @@ class TestSnapshotWriter:
 
     def test_creates_missing_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "out.ndjson"
-        writer = SnapshotWriter(path)
+        writer = NdjsonWriter(path, "export records")
         writer.write({"seq": 1})
         writer.close()
         assert path.exists()
 
     def test_rotation_bounds_the_live_file(self, tmp_path):
         path = tmp_path / "out.ndjson"
-        writer = SnapshotWriter(path, max_bytes=4096)
+        writer = NdjsonWriter(path, "export records", max_bytes=4096)
         payload = "x" * 1000
         for seq in range(1, 11):
             writer.write({"seq": seq, "pad": payload})
@@ -105,7 +104,7 @@ class TestSnapshotWriter:
 
     def test_close_is_idempotent_and_write_after_close_is_noop(self, tmp_path):
         path = tmp_path / "out.ndjson"
-        writer = SnapshotWriter(path)
+        writer = NdjsonWriter(path, "export records")
         writer.write({"seq": 1})
         writer.close()
         writer.close()
@@ -114,13 +113,13 @@ class TestSnapshotWriter:
 
     def test_tiny_max_bytes_rejected(self, tmp_path):
         with pytest.raises(ObservabilityError):
-            SnapshotWriter(tmp_path / "out.ndjson", max_bytes=100)
+            NdjsonWriter(tmp_path / "out.ndjson", "export records", max_bytes=100)
 
     def test_unwritable_parent_is_structured_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
         with pytest.raises(ObservabilityError):
-            SnapshotWriter(blocker / "out.ndjson")
+            NdjsonWriter(blocker / "out.ndjson", "export records")
 
 
 # ------------------------------------------------------------ export records
@@ -140,7 +139,7 @@ class TestExportRecords:
         second = exporter.export_now()
         assert second["seq"] == 2
         exporter.close()
-        records = read_export_records(path)
+        records = read_ndjson(path, "export records", tolerate_truncation=True)
         assert [r["seq"] for r in records] == [1, 2, 3]
         assert records[-1]["kind"] == "final"
         assert validate_export_file(path) == []
@@ -197,7 +196,7 @@ class TestExportRecords:
         exporter.close()
         with open(path, "a") as handle:
             handle.write('{"schema": "repro.obs.exp')  # killed mid-write
-        records = read_export_records(path)
+        records = read_ndjson(path, "export records", tolerate_truncation=True)
         assert [r["seq"] for r in records] == [1, 2, 3]
         assert validate_export_file(path) == []
 
@@ -205,7 +204,7 @@ class TestExportRecords:
         path = tmp_path / "soak.ndjson"
         path.write_text('{"broken\n{"seq": 1}\n')
         with pytest.raises(ObservabilityError):
-            read_export_records(path)
+            read_ndjson(path, "export records", tolerate_truncation=True)
 
     def test_empty_file_fails_validation(self, tmp_path):
         path = tmp_path / "soak.ndjson"
@@ -381,7 +380,7 @@ class TestHttpEndpoint:
             return path
 
         path = asyncio.run(scenario())
-        records = read_export_records(path)
+        records = read_ndjson(path, "export records", tolerate_truncation=True)
         kinds = [r["kind"] for r in records]
         assert kinds.count("periodic") >= 2
         assert kinds[-1] == "final"
@@ -607,7 +606,7 @@ class TestExporterConcurrency:
             reg.merge(shard, series_labels={"session": f"session[{round_number % 4}]"})
         exporter.close()
         assert validate_export_file(path) == []
-        records = read_export_records(path)
+        records = read_ndjson(path, "export records", tolerate_truncation=True)
         assert records[-1]["kind"] == "final"
         # Every mid-run snapshot must be self-consistent, not just the final.
         for record in records:
@@ -670,5 +669,5 @@ class TestExporterConcurrency:
         )
         assert exporter.closed
         assert validate_export_file(path) == []
-        records = read_export_records(path)
+        records = read_ndjson(path, "export records", tolerate_truncation=True)
         assert records[-1]["kind"] == "final"

@@ -32,7 +32,7 @@ from repro.obs import (
     profiling,
     snapshot_digest,
     validate_metrics_document,
-    validate_trace_lines,
+    validate_trace_file,
 )
 from repro.obs.manifest import MANIFEST_SCHEMA
 
@@ -166,8 +166,7 @@ class TestSchemas:
             _run(metrics=MetricsRegistry())
         path = tmp_path / "trace.jsonl"
         profiler.write_jsonl(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            assert validate_trace_lines(handle) == []
+        assert validate_trace_file(path) == []
         names = [span["name"] for span in profiler.spans]
         for name in (
             "testbed.build", "traffic.start", "sim.run", "truth.extract",

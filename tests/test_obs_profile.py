@@ -26,7 +26,7 @@ from repro.obs.profile import (
     profile_stage,
     profiling,
 )
-from repro.obs.schema import validate_trace_lines
+from repro.obs.schema import validate_trace_file
 
 
 class FakeClock:
@@ -382,9 +382,8 @@ class TestSpanLog:
         prof.event("marker", k="v")
         path = tmp_path / "trace.jsonl"
         prof.write_jsonl(path)
-        lines = path.read_text().splitlines()
-        assert validate_trace_lines(lines) == []
-        records = [json.loads(line) for line in lines]
+        assert validate_trace_file(path) == []
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[0] == {
             "type": "meta", "schema": "repro.obs.trace/1", "tool": "t", "seed": 3,
         }
