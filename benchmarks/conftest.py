@@ -4,28 +4,19 @@ Every benchmark regenerates one of the paper's tables or figures on the
 profile selected by ``REPRO_PROFILE`` (default ``fast``; set ``full`` for
 paper-length runs) and archives the rendered text under
 ``benchmarks/results/`` so the numbers behind EXPERIMENTS.md can be
-re-inspected without rerunning.
-
-Alongside the text archives, one shared
-:class:`~repro.obs.bench.BenchRecorder` collects a machine-readable
-perf-trajectory point per session: an autouse fixture records every
-benchmark test's wall time, and the overhead-guard tests append their
-headline measurements (ratios, speedups, per-datagram costs) through the
-``bench_record`` fixture. Everything lands in one schema-validated
-``results/BENCH_pytest.<profile>.json``, merged across separate pytest
-invocations, so ``badabing-sim bench --compare`` works on pytest-driven
-numbers too.
+re-inspected without rerunning. The overhead guards archive their
+measurements the same way and assert their own fixed bounds; end-to-end
+speed is measured by ``perfbench/`` and gated by
+``benchmarks/perf_gate.py``.
 """
 
 from __future__ import annotations
 
 import pathlib
-import time
 
 import pytest
 
 from repro.experiments.profiles import active_profile
-from repro.obs.bench import BenchRecorder
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -39,36 +30,6 @@ def profile():
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def bench_writer(results_dir, profile):
-    """The session's shared BENCH JSON writer (flushed once, at exit)."""
-    recorder = BenchRecorder(
-        results_dir / f"BENCH_pytest.{profile.name}.json",
-        suite=f"pytest-{profile.name}",
-    )
-    yield recorder
-    recorder.flush()
-
-
-@pytest.fixture(autouse=True)
-def _bench_walltime(request, bench_writer):
-    """Record every benchmark test's wall time into the shared writer."""
-    started = time.perf_counter()
-    yield
-    bench_writer.record(request.node.name, time.perf_counter() - started)
-
-
-@pytest.fixture
-def bench_record(bench_writer):
-    """Callable: bench_record(name, wall_seconds, **extra) -> BENCH entry.
-
-    For guards that measure something sharper than their own wall time —
-    overhead ratios, speedups, per-datagram costs — so the regression
-    gate can compare the measurement itself, not the test around it.
-    """
-    return bench_writer.record
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ eating into probe-schedule deadlines. Second, interleaving those
 decision passes with a reflector's datagram hot path must not tax the
 per-datagram cost by more than 1.10× versus the same flood with the
 controller off. Both are measured min-of-several with interleaved modes
-and recorded through the shared :class:`~repro.obs.bench.BenchRecorder`.
+and archived under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _timed_ticks(controller: FleetController) -> float:
     return stepped / N_TICKS
 
 
-def test_controller_step_latency_at_50_paths(archive, bench_record):
+def test_controller_step_latency_at_50_paths(archive):
     _timed_ticks(_make_controller(N_PATHS))  # warm allocator/caches
     per_tick = float("inf")
     for _ in range(REPEATS):
@@ -120,12 +120,6 @@ def test_controller_step_latency_at_50_paths(archive, bench_record):
         f"(budget {MAX_STEP_SECONDS * 1e3:.1f} ms)"
     )
     archive("bench_controller_step", report)
-    bench_record(
-        "controller_step_tick",
-        per_tick,
-        n_paths=N_PATHS,
-        ms_per_tick=per_tick * 1e3,
-    )
     assert per_tick <= MAX_STEP_SECONDS, report
 
 
@@ -172,7 +166,7 @@ def _timed_flood(hello, probes, controller=None) -> float:
     return elapsed
 
 
-def test_controller_on_datagram_overhead_within_budget(archive, bench_record):
+def test_controller_on_datagram_overhead_within_budget(archive):
     hello, probes = _session_datagrams(1, _config(), FLOOD_PACKETS)
     _timed_flood(hello, probes)  # warm-up
     on_s = off_s = float("inf")
@@ -189,11 +183,4 @@ def test_controller_on_datagram_overhead_within_budget(archive, bench_record):
         f"  ratio: {ratio:.3f}x (budget {MAX_DATAGRAM_RATIO:.2f}x)"
     )
     archive("bench_controller_overhead", report)
-    bench_record(
-        "controller_on_per_datagram",
-        on_s,
-        off_seconds=off_s,
-        overhead_ratio=ratio,
-        ns_per_datagram=on_s * 1e9 / FLOOD_PACKETS,
-    )
     assert ratio <= MAX_DATAGRAM_RATIO, report

@@ -104,7 +104,7 @@ def _timed_single(session):
     return elapsed
 
 
-def test_fleet_per_datagram_overhead_within_budget(archive, bench_record):
+def test_fleet_per_datagram_overhead_within_budget(archive):
     config = _config()
     sessions = [
         _session_datagrams(seed, config, PACKETS_PER_SESSION)
@@ -127,11 +127,4 @@ def test_fleet_per_datagram_overhead_within_budget(archive, bench_record):
         f"  ratio: {ratio:.3f}x (budget {MAX_RATIO:.1f}x)"
     )
     archive("bench_fleet", report)
-    bench_record(
-        "fleet_per_datagram",
-        fleet_s,
-        single_seconds=single_s,
-        overhead_ratio=ratio,
-        ns_per_datagram=fleet_s * 1e9 / TOTAL_PACKETS,
-    )
     assert ratio <= MAX_RATIO, report

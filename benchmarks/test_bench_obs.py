@@ -43,7 +43,7 @@ def _timed(registry_factory):
     return time.perf_counter() - started, result
 
 
-def test_enabled_registry_overhead_within_budget(archive, bench_record):
+def test_enabled_registry_overhead_within_budget(archive):
     # Warm caches/allocator once untimed, then interleave the two modes so
     # machine-load drift lands on both rather than biasing one phase.
     _timed(NullRegistry)
@@ -63,12 +63,6 @@ def test_enabled_registry_overhead_within_budget(archive, bench_record):
         f"  ratio:           {ratio:8.3f}x (budget {MAX_OVERHEAD:.2f}x)"
     )
     archive("bench_obs_overhead", report)
-    bench_record(
-        "obs_overhead",
-        live_s,
-        null_seconds=null_s,
-        overhead_ratio=ratio,
-    )
     # Instrumentation must not perturb the measurement itself.
     assert live_result.frequency == null_result.frequency
     assert live_result.n_probes_sent == null_result.n_probes_sent
@@ -95,7 +89,7 @@ def _timed_with_exporter(registry_factory, tmp_path, tag):
         exporter.close()
 
 
-def test_exporter_overhead_within_budget(archive, bench_record, tmp_path):
+def test_exporter_overhead_within_budget(archive, tmp_path):
     """Tentpole budget: attaching a live exporter at a 1s interval must
     add at most 10% over the already-instrumented run, and under
     ``NullRegistry`` the exporter is a strict no-op (no file, no thread,
@@ -119,12 +113,6 @@ def test_exporter_overhead_within_budget(archive, bench_record, tmp_path):
         f"  ratio:               {ratio:8.3f}x (budget {MAX_OVERHEAD:.2f}x)"
     )
     archive("bench_export_overhead", report)
-    bench_record(
-        "export_overhead",
-        exported_s,
-        bare_seconds=bare_s,
-        overhead_ratio=ratio,
-    )
     # The exporter must never perturb the simulation it watches.
     assert exported_result.frequency == bare_result.frequency
     assert exported_result.n_probes_sent == bare_result.n_probes_sent

@@ -41,7 +41,7 @@ def _timed(profiler):
     return time.perf_counter() - started, result, registry
 
 
-def test_stage_profiler_overhead_within_budget(archive, bench_record):
+def test_stage_profiler_overhead_within_budget(archive):
     # Warm caches/allocator once untimed, then interleave the two modes so
     # machine-load drift lands on both rather than biasing one phase.
     _timed(None)
@@ -64,12 +64,6 @@ def test_stage_profiler_overhead_within_budget(archive, bench_record):
         f"  ratio:           {ratio:8.3f}x (budget {MAX_OVERHEAD:.2f}x)"
     )
     archive("bench_profile_overhead", report)
-    bench_record(
-        "profile_overhead",
-        profiled_s,
-        bare_seconds=bare_s,
-        overhead_ratio=ratio,
-    )
     # The profiler saw the run: the last profiled repetition covered the
     # simulation-side stages and the runner's phase frames.
     stages = profiler.stages()

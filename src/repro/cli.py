@@ -23,7 +23,8 @@ Subcommands:
 * ``obs`` — summarize or validate exported metrics/trace/audit/export
   files (``summary --by-label`` splits merged fleet/sweep shards,
   ``--by-path`` folds a controller run's shards per path,
-  ``validate --controller`` checks a controller event log);
+  ``validate --controller`` checks a controller event log, ``profile``
+  renders the per-stage table and call tree of a ``--trace-out`` file);
 * ``list`` — show available scenarios, tables, and figures.
 
 Long-running commands (``sweep``, ``live reflect``, ``live fleet``)
@@ -554,7 +555,6 @@ def _cmd_obs_validate(args: argparse.Namespace) -> int:
     from repro.errors import ObservabilityError
     from repro.live.controller import validate_controller_file
     from repro.obs.artifacts import read_json
-    from repro.obs.bench import validate_bench_document
     from repro.obs.export import validate_export_file
     from repro.obs.schema import (
         validate_audit_document,
@@ -572,14 +572,13 @@ def _cmd_obs_validate(args: argparse.Namespace) -> int:
         (args.trace, validate_trace_file),
         (args.audit, document("audit document", validate_audit_document)),
         (args.export, validate_export_file),
-        (args.bench, document("bench document", validate_bench_document)),
         (args.controller, validate_controller_file),
     ]
     checks = [(path, check) for path, check in checks if path]
     if not checks:
         print(
             "error: nothing to validate — give a metrics file and/or "
-            "--trace/--audit/--export/--bench/--controller",
+            "--trace/--audit/--export/--controller",
             file=sys.stderr,
         )
         return 2
@@ -604,51 +603,17 @@ def _cmd_obs_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_profile(args: argparse.Namespace) -> int:
-    from repro.obs.bench import load_bench_document, render_profile_document
+    from repro.errors import ObservabilityError
+    from repro.obs.schema import read_trace, validate_trace_records
+    from repro.obs.summary import render_profile
 
-    document = load_bench_document(args.bench)
-    print(
-        "\n".join(
-            render_profile_document(
-                document, scenario=args.scenario or None, top=args.top
-            )
+    records = read_trace(args.trace)
+    problems = validate_trace_records(records)
+    if problems:
+        raise ObservabilityError(
+            f"{args.trace}: {len(problems)} schema problem(s), first: {problems[0]}"
         )
-    )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import (
-        compare_bench_documents,
-        load_bench_document,
-        render_bench_document,
-        write_bench_document,
-    )
-
-    if args.compare:
-        old = load_bench_document(args.compare[0])
-        new = load_bench_document(args.compare[1])
-        lines, regressions = compare_bench_documents(
-            old, new, threshold=args.threshold
-        )
-        print("\n".join(lines))
-        if regressions:
-            print(
-                f"{len(regressions)} perf regression(s) above "
-                f"{args.threshold:g}x",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    from repro.experiments.bench import run_bench_suite
-
-    document = run_bench_suite(
-        args.suite, progress=lambda message: print(message, file=sys.stderr)
-    )
-    out = args.out or f"BENCH_{args.suite}.json"
-    write_bench_document(out, document)
-    print("\n".join(render_bench_document(document)))
-    print(f"wrote {out}")
+    print("\n".join(render_profile(records, top=args.top)))
     return 0
 
 
@@ -1475,11 +1440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional NDJSON snapshot stream written by --export-out",
     )
     obs_validate.add_argument(
-        "--bench",
-        default="",
-        help="optional BENCH_*.json document written by `repro bench`",
-    )
-    obs_validate.add_argument(
         "--controller",
         default="",
         help="optional controller-event NDJSON written by "
@@ -1488,50 +1448,14 @@ def build_parser() -> argparse.ArgumentParser:
     obs_validate.set_defaults(handler=_cmd_obs_validate)
     obs_profile = obs_commands.add_parser(
         "profile",
-        help="render per-stage self-time table and call tree from a "
-        "BENCH_*.json document",
+        help="render the per-stage self-time table and call tree of a run "
+        "from its trace",
     )
-    obs_profile.add_argument("bench", help="path written by `repro bench --out`")
+    obs_profile.add_argument("trace", help="trace JSONL written by --trace-out")
     obs_profile.add_argument(
-        "--scenario",
-        default="",
-        help="render only this scenario (default: all in the document)",
-    )
-    obs_profile.add_argument(
-        "--top", type=int, default=20, help="stage-table rows per scenario"
+        "--top", type=int, default=20, help="stage-table rows"
     )
     obs_profile.set_defaults(handler=_cmd_obs_profile)
-
-    bench = commands.add_parser(
-        "bench",
-        help="run a pinned perf suite and emit a machine-readable "
-        "BENCH_<suite>.json trajectory point",
-    )
-    bench.add_argument(
-        "--suite",
-        default="fast",
-        help="pinned scenario suite to run (fast, smoke)",
-    )
-    bench.add_argument(
-        "--out",
-        default="",
-        help="output path (default: BENCH_<suite>.json)",
-    )
-    bench.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        help="instead of running, compare two bench documents and exit 1 "
-        "on regressions",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=2.0,
-        help="slowdown ratio treated as a regression under --compare "
-        "(default 2.0)",
-    )
-    bench.set_defaults(handler=_cmd_bench)
 
     dash = commands.add_parser(
         "dash",

@@ -85,7 +85,7 @@ class Link:
         #: tolerate. Congestion loss always comes from the queue instead.
         self.random_loss = random_loss
         self.randomly_lost = 0
-        #: Leaf accumulator for queue.service timings (repro bench only);
+        #: Leaf accumulator for queue.service timings (profiled runs only);
         #: re-fetched whenever the active profiler changes or folds it.
         self._service_acc: Optional[list] = None
         self._service_prof = None
@@ -145,7 +145,7 @@ class Link:
     # -------------------------------------------------------------- internals
     def _start_next(self) -> None:
         # Per-packet hot path: one None check when no profiler is active
-        # (the default everywhere outside `repro bench`), and no `take` call
+        # (the default unless a run is profiled), and no `take` call
         # at all when the queue is empty. Under an active profiler,
         # deterministic stride sampling keeps the profiled run inside the
         # 10% overhead budget: every SERVICE_SAMPLE_STRIDE-th service is

@@ -7,7 +7,8 @@ Four pieces, usable separately or together:
   default throughout the substrate; pass :class:`NullRegistry` to run at
   pre-instrumentation speed. Snapshots are deterministic for a fixed seed.
 * :mod:`repro.obs.profile` — the :class:`StageProfiler`: per-stage wall
-  timings plus a span log of the run's phases, exported as JSONL.
+  timings plus a span log of the run's phases, exported as JSONL that
+  ends with the run's per-stage profile (``obs profile`` renders it).
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records
   (seed, config digest, version, timings, headline metrics) attached to
   runner results.
@@ -32,21 +33,6 @@ from repro.obs.alerts import (
     write_alert_rules,
 )
 from repro.obs.artifacts import ensure_parent_dir, write_json
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    BenchRecorder,
-    compare_bench_documents,
-    environment_fingerprint,
-    load_bench_document,
-    make_bench_document,
-    peak_rss_bytes,
-    render_bench_document,
-    render_call_tree,
-    render_profile_document,
-    render_stage_table,
-    validate_bench_document,
-    write_bench_document,
-)
 from repro.obs.audit import (
     AUDIT_SCHEMA,
     AccuracyScorecard,
@@ -120,6 +106,7 @@ from repro.obs.summary import (
     group_label_path,
     render_audit,
     render_grouped_summary,
+    render_profile,
     render_scorecard,
     render_slowest_spans,
     render_summary,
@@ -198,26 +185,14 @@ __all__ = [
     "split_snapshot_by_label",
     "split_snapshot_by_path",
     "ensure_parent_dir",
-    # profiling + perf trajectory (DESIGN.md §14)
+    # stage profiling (DESIGN.md §14)
     "PROFILE_SCHEMA",
-    "BENCH_SCHEMA",
     "PIPELINE_STAGES",
     "STAGE_BUCKETS",
     "StageProfiler",
     "profiling",
     "profile_stage",
-    "BenchRecorder",
-    "environment_fingerprint",
-    "peak_rss_bytes",
-    "make_bench_document",
-    "validate_bench_document",
-    "load_bench_document",
-    "write_bench_document",
-    "compare_bench_documents",
-    "render_bench_document",
-    "render_profile_document",
-    "render_stage_table",
-    "render_call_tree",
+    "render_profile",
     "slowest_spans",
     "render_slowest_spans",
 ]

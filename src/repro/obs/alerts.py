@@ -18,6 +18,7 @@ byte-identical with and without export enabled.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -174,6 +175,9 @@ class _RuleState:
     last_change_wall: Optional[float] = None
     fired_wall: Optional[float] = None
     events: int = 0
+    #: Why the last evaluated quantity has no finite value (its events
+    #: report ``value: null``), or None.
+    value_undefined: Optional[str] = None
 
 
 def lookup_metric(snapshot: Dict[str, Any], metric: str) -> Optional[float]:
@@ -249,7 +253,11 @@ class AlertRules:
                 return None
             denominator = lookup_metric(snapshot, rule.denominator)
             if denominator is None or denominator == 0.0:
-                return 0.0 if value == 0.0 else float("inf")
+                if value == 0.0:
+                    return 0.0
+                # Breaches as infinity; reported as null (strict JSON).
+                state.value_undefined = "zero denominator"
+                return float("inf")
             return value / denominator
         if rule.kind == "rate":
             previous_value, previous_wall = state.last_value, state.last_wall
@@ -273,6 +281,7 @@ class AlertRules:
         events: List[AlertEvent] = []
         for rule in self.rules:
             state = self._states[rule.name]
+            state.value_undefined = None
             quantity = self._quantity(rule, state, snapshot, wall)
             if quantity is None:
                 breach = False
@@ -296,6 +305,8 @@ class AlertRules:
     def _transition(
         self, rule: AlertRule, state: str, value: Optional[float], wall: float
     ) -> AlertEvent:
+        if value is not None and not math.isfinite(value):
+            value = None
         event = AlertEvent(
             rule=rule.name,
             state=state,
@@ -333,6 +344,7 @@ class AlertRules:
                 "firing": self._states[rule.name].firing,
                 "since": self._states[rule.name].fired_wall,
                 "events": self._states[rule.name].events,
+                "value_undefined": self._states[rule.name].value_undefined,
                 "severity": rule.severity,
             }
             for rule in self.rules

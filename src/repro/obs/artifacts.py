@@ -1,6 +1,6 @@
 """Artifact storage: how observability documents and streams sit on disk.
 
-Every metrics, audit, bench and alert-rules JSON document and every
+Every metrics, audit and alert-rules JSON document and every
 export, controller and span-trace NDJSON stream is written and read
 through this module, so one set of rules holds for all of them:
 

@@ -14,9 +14,10 @@ histogram, and record parent→child edges for call-tree rendering.
 Every scoped frame also appends one span record (``type``, ``name``,
 ``t0``, ``dur``, ``parent``, ``attrs``) to :attr:`StageProfiler.spans`;
 :meth:`StageProfiler.write_jsonl` writes them as a ``repro.obs.trace/1``
-file (``--trace-out``). Leaf :meth:`~StageProfiler.record` /
-:meth:`~StageProfiler.leaf` sites stay span-free, so per-packet hot paths
-pay only their stage-stat bookkeeping.
+file (``--trace-out``) that closes with one per-stage ``profile`` record.
+Leaf :meth:`~StageProfiler.record` / :meth:`~StageProfiler.leaf` sites
+stay span-free, so per-packet hot paths pay only their stage-stat
+bookkeeping.
 
 Determinism contract (DESIGN.md §14): profiling must never perturb
 metric snapshot digests. A profiler keeps all of its wall-clock state on
@@ -52,8 +53,8 @@ PROFILE_SCHEMA = "repro.obs.profile/1"
 TRACE_SCHEMA = "repro.obs.trace/1"
 
 #: The pipeline stages the substrate instruments out of the box. Kept as
-#: one canonical tuple so tests and the bench document can assert
-#: coverage against a single source of truth.
+#: one canonical tuple so the stage-coverage test asserts against a
+#: single source of truth.
 PIPELINE_STAGES: Tuple[str, ...] = (
     "schedule.generate",
     "sim.run",
@@ -422,7 +423,10 @@ class StageProfiler:
     # ----------------------------------------------------------------- trace
     def write_jsonl(self, path) -> None:
         """Write the span log as a ``repro.obs.trace/1`` JSONL file: the
-        meta line, then every span and event sorted by ``t0``."""
+        meta line, every span and event sorted by ``t0``, then one closing
+        ``profile`` record carrying :meth:`stages` and :meth:`edges` (leaf
+        stages such as ``queue.service`` have no spans, so only this
+        record holds them; ``repro obs profile`` renders it)."""
         from repro.obs.artifacts import NdjsonWriter
 
         writer = NdjsonWriter(path, "trace")
@@ -430,5 +434,8 @@ class StageProfiler:
             writer.write({"type": "meta", "schema": TRACE_SCHEMA, **self.meta})
             for span in sorted(self.spans, key=lambda span: span["t0"]):
                 writer.write(span)
+            writer.write(
+                {"type": "profile", "stages": self.stages(), "edges": self.edges()}
+            )
         finally:
             writer.close()

@@ -230,6 +230,54 @@ def load_audit_document(path) -> Dict[str, Any]:
     return read_json(path, "audit document", validate_audit_document)
 
 
+_STAGE_NUMBERS = ("self_seconds", "cum_seconds", "max_seconds", "sum_seconds")
+
+
+def validate_stage(stage: Any, where: str) -> List[str]:
+    """Structural validation of one :meth:`StageProfiler.stages` entry."""
+    problems: List[str] = []
+    if not isinstance(stage, dict):
+        return [f"{where}: expected an object, got {type(stage).__name__}"]
+    calls = stage.get("calls")
+    if not isinstance(calls, int) or isinstance(calls, bool) or calls < 0:
+        problems.append(f"{where}.calls: expected a non-negative integer")
+    for name in _STAGE_NUMBERS:
+        if name in stage and not _is_number(stage[name]):
+            problems.append(f"{where}.{name}: expected a number")
+        elif _is_number(stage.get(name)) and stage[name] < 0:
+            problems.append(f"{where}.{name}: negative duration")
+    buckets, counts = stage.get("buckets"), stage.get("counts")
+    if buckets is not None or counts is not None:
+        if not isinstance(buckets, list) or not isinstance(counts, list):
+            problems.append(f"{where}: need buckets + counts lists together")
+        else:
+            if len(counts) != len(buckets) + 1:
+                problems.append(f"{where}: counts must have len(buckets)+1 slots")
+            if any(b <= a for a, b in zip(buckets, buckets[1:])):
+                problems.append(f"{where}: buckets not increasing")
+            if isinstance(calls, int) and sum(counts) != calls:
+                problems.append(f"{where}: sum(counts) != calls")
+    return problems
+
+
+def _validate_profile_record(record: Dict[str, Any], where: str) -> List[str]:
+    """The closing ``profile`` record: stage stats plus call edges."""
+    problems: List[str] = []
+    stages, edges = record.get("stages"), record.get("edges")
+    if not isinstance(stages, dict):
+        problems.append(f"{where}: profile field 'stages' missing or mistyped")
+    else:
+        for name, stage in stages.items():
+            problems.extend(validate_stage(stage, f"{where}.stages[{name!r}]"))
+    if not isinstance(edges, list):
+        problems.append(f"{where}: profile field 'edges' missing or mistyped")
+    else:
+        for index, edge in enumerate(edges):
+            if not isinstance(edge, dict) or "stage" not in edge:
+                problems.append(f"{where}.edges[{index}]: expected an object with 'stage'")
+    return problems
+
+
 def validate_trace_record(record: Any, where: str) -> List[str]:
     """Structural validation of one span-trace record (list of problems)."""
     if not isinstance(record, dict) or "type" not in record:
@@ -253,6 +301,8 @@ def validate_trace_record(record: Any, where: str) -> List[str]:
                 problems.append(f"{where}: {kind} field {name!r} missing or mistyped")
         if _is_number(record.get("dur")) and record["dur"] < 0:
             problems.append(f"{where}: negative duration")
+    elif kind == "profile":
+        problems.extend(_validate_profile_record(record, where))
     else:
         problems.append(f"{where}: unknown record type {kind!r}")
     return problems

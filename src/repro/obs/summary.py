@@ -1,13 +1,16 @@
 """Human-readable rendering of metrics documents and traces.
 
-Backs ``badabing-sim obs summary``: turns the JSON artifacts into the
-report a person actually reads — provenance first, then headline totals,
-then the slow spans — without any plotting dependency.
+Backs ``badabing-sim obs summary`` and ``obs profile``: turns the JSON
+artifacts into the report a person actually reads — provenance first,
+then headline totals, then the slow spans or the per-stage profile —
+without any plotting dependency.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional
+
+from repro.errors import ObservabilityError
 
 
 def _fmt(value: float) -> str:
@@ -167,6 +170,98 @@ def render_slowest_spans(records: Iterable[Dict[str, Any]], top: int = 10) -> Li
             f"{span['dur']:.6f}s t0={span.get('t0', 0.0):.3f}"
             + (f"  {detail}" if detail else "")
         )
+    return lines
+
+
+def _format_seconds(seconds: float) -> str:
+    if seconds >= 1.0:
+        return f"{seconds:8.3f} s "
+    if seconds >= 1e-3:
+        return f"{seconds * 1e3:8.2f} ms"
+    return f"{seconds * 1e6:8.1f} us"
+
+
+def render_stage_table(
+    stages: Dict[str, Dict[str, Any]], top: int = 20, width: int = 24
+) -> List[str]:
+    """Self-time table of a profile's stages, hottest first."""
+    if not stages:
+        return ["  (no stages recorded)"]
+    total_self = sum(
+        float(stage.get("self_seconds", 0.0)) for stage in stages.values()
+    )
+    lines = [
+        f"  {'stage':<18} {'calls':>9} {'self':>11} {'cum':>11} "
+        f"{'max':>11}  self%"
+    ]
+    ranked = sorted(
+        stages.items(),
+        key=lambda item: -float(item[1].get("self_seconds", 0.0)),
+    )
+    for name, stage in ranked[:top]:
+        self_s = float(stage.get("self_seconds", 0.0))
+        share = self_s / total_self if total_self > 0 else 0.0
+        bar = "#" * max(1, round(share * width)) if self_s > 0 else ""
+        lines.append(
+            f"  {name:<18} {stage.get('calls', 0):>9} "
+            f"{_format_seconds(self_s)} "
+            f"{_format_seconds(float(stage.get('cum_seconds', 0.0)))} "
+            f"{_format_seconds(float(stage.get('max_seconds', 0.0)))} "
+            f"{share * 100:5.1f} {bar}"
+        )
+    if len(ranked) > top:
+        lines.append(f"  ... {len(ranked) - top} more stage(s)")
+    return lines
+
+
+def render_call_tree(edges: Iterable[Dict[str, Any]]) -> List[str]:
+    """Indented call tree from parent->child edges, heaviest first."""
+    children: Dict[str, List[Dict[str, Any]]] = {}
+    for edge in edges:
+        children.setdefault(edge.get("parent", ""), []).append(edge)
+    for siblings in children.values():
+        siblings.sort(key=lambda e: -float(e.get("cum_seconds", 0.0)))
+    lines: List[str] = []
+    seen = set()
+
+    def _walk(parent: str, depth: int) -> None:
+        for edge in children.get(parent, ()):  # depth-first, heaviest first
+            stage = edge["stage"]
+            cum = float(edge.get("cum_seconds", 0.0))
+            lines.append(
+                f"  {'  ' * depth}{stage:<{max(2, 28 - 2 * depth)}} "
+                f"{edge.get('calls', 0):>9} calls {_format_seconds(cum)}"
+            )
+            if stage in seen or depth > 8:
+                continue  # recursion guard
+            seen.add(stage)
+            _walk(stage, depth + 1)
+            seen.discard(stage)
+
+    _walk("", 0)
+    return lines
+
+
+def render_profile(records: List[Dict[str, Any]], top: int = 20) -> List[str]:
+    """Stage table and call tree of a trace's closing ``profile`` record
+    (``obs profile``); raises when the trace has none."""
+    kinds: Dict[str, Dict[str, Any]] = {}
+    for record in records:
+        if isinstance(record, dict):
+            kinds.setdefault(record.get("type"), record)
+    profile = kinds.get("profile")
+    if profile is None:
+        raise ObservabilityError("trace has no profile record")
+    meta = kinds.get("meta", {})
+    context = ", ".join(
+        f"{key}={meta[key]}" for key in sorted(meta) if key not in ("type", "schema")
+    )
+    lines = [f"== profile ({context})" if context else "== profile"]
+    lines.extend(render_stage_table(profile["stages"], top=top))
+    tree = render_call_tree(profile["edges"])
+    if tree:
+        lines.append("  call tree:")
+        lines.extend(tree)
     return lines
 
 

@@ -22,8 +22,8 @@ plus a ``None`` check per potential stage::
         if prof is not None:
             prof.stop(frame)
 
-With no profiler active (the default everywhere outside ``repro bench``
-and ``--trace-out``) that is the entire cost, so profiling support adds
+With no profiler active (the default everywhere outside ``--trace-out``)
+that is the entire cost, so profiling support adds
 nothing measurable to un-profiled runs and *never* touches a metrics
 registry — snapshot digests are byte-identical whether a profiler is
 active or not.

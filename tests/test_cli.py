@@ -12,10 +12,8 @@ from repro.obs import (
     StageProfiler,
     TelemetryExporter,
     audit_document,
-    make_bench_document,
     scorecard_from_runs,
     write_audit_document,
-    write_bench_document,
     write_metrics_document,
 )
 
@@ -130,9 +128,6 @@ _VALID_ARTIFACT = {
         path, audit_document(scorecard_from_runs([]))
     ),
     "export": lambda path: TelemetryExporter(MetricsRegistry(), path=path).close(),
-    "bench": lambda path: write_bench_document(
-        path, make_bench_document("test", {"cell": {"wall_seconds": 1.0}})
-    ),
     "controller": lambda path: FleetController(
         [PathTarget("a", BadabingConfig())], events_path=path
     ).finalize(),
@@ -162,3 +157,63 @@ def test_obs_validate_exit_contract(kind, case, tmp_path, capsys):
     code = main(["obs", "validate", *named, f"--{other}", str(companion)])
     assert code == max(expected, 1)
     assert f"{companion}: " in capsys.readouterr().err
+
+
+def test_bench_subcommand_is_gone(capsys):
+    # perfbench/ is the one benchmark; a run's profile comes from its trace.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["bench", "--suite", "fast"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def _profile_rows(out):
+    """``obs profile`` output as {stage: calls} (table) and tree lines."""
+    table, tree = out.split("  call tree:\n")
+    rows = {
+        line.split()[0]: int(line.split()[1])
+        for line in table.splitlines()[2:]
+    }
+    return rows, tree.splitlines()
+
+
+def test_obs_profile_of_measure_trace(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    assert main([
+        "measure", "episodic_cbr", "--slots", "4000", "--seed", "3",
+        "--profile", "smoke", "--trace-out", str(trace),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["obs", "profile", str(trace)]) == 0
+    rows, tree = _profile_rows(capsys.readouterr().out)
+    # queue.service is a span-free leaf: only the profile record has it.
+    assert rows["queue.service"] > 0 and rows["sim.run"] == 1
+    assert tree[0].split()[0] == "sim.run"
+    assert tree[1].startswith("    queue.service")
+
+
+def test_obs_profile_of_parallel_sweep_trace(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    assert main([
+        "sweep", "episodic_cbr", "--p", "0.3,0.5", "--seeds", "1",
+        "--slots", "600", "--workers", "2", "--profile", "smoke",
+        "--trace-out", str(trace),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["obs", "profile", str(trace), "--top", "50"]) == 0
+    rows, tree = _profile_rows(capsys.readouterr().out)
+    # Worker profiles are absorbed: both cells' sim.run show up.
+    assert rows["sweep.cell"] == 2 and rows["sim.run"] == 2
+    assert tree[0].split()[0] == "sweep.cell"
+    assert any(line.startswith("    sim.run") for line in tree)
+
+
+def test_obs_validate_rejects_negative_profile_self_seconds(tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    _write_trace(path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert main(["obs", "validate", "--trace", str(path)]) == 0
+    records[-1]["stages"]["sim.run"]["self_seconds"] = -1.0
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["obs", "validate", "--trace", str(path)]) == 1
+    assert "negative duration" in capsys.readouterr().err

@@ -489,6 +489,40 @@ class TestAlertRules:
         )
         assert [e.state for e in events] == ["resolved"]
 
+    def test_zero_denominator_transition_is_exported_as_null(self, tmp_path):
+        from repro.cli import main
+
+        reg = MetricsRegistry()
+        reg.counter("rejected").inc(3)
+        reg.counter("admitted")
+        path = tmp_path / "soak.ndjson"
+        rule = AlertRule(
+            name="rej", metric="rejected", kind="ratio",
+            denominator="admitted", threshold=0.5,
+        )
+        profiler = StageProfiler()
+        exporter = TelemetryExporter(reg, path=path, rules=[rule])
+        with profiling(profiler):
+            record = exporter.export_now()
+        exporter.close()
+        # x/0 still breaches, but the value is undefined, so it reads null.
+        (event,) = record["alerts"]["events"]
+        assert (event["state"], event["value"]) == ("firing", None)
+        (state,) = record["alerts"]["state"]
+        assert state["value_undefined"] == "zero denominator"
+        (fired,) = [s for s in profiler.spans if s["name"] == "alert.fired"]
+        assert fired["attrs"]["value"] is None
+        profiler.write_jsonl(tmp_path / "trace.jsonl")
+        assert main([
+            "obs", "validate", "--export", str(path),
+            "--trace", str(tmp_path / "trace.jsonl"),
+        ]) == 0
+        # Once the denominator is non-zero the value is defined again.
+        reg.counter("admitted").inc(10)
+        engine = AlertRules([rule])
+        engine.evaluate(reg.snapshot(), 1.0)
+        assert engine.state_document()[0]["value_undefined"] is None
+
     def test_stale_rule_fires_when_metric_stops_advancing(self):
         engine = AlertRules(
             [AlertRule(name="stall", metric="f", kind="stale", threshold=5.0)]

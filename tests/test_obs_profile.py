@@ -3,7 +3,9 @@
 Covers the DESIGN.md §14 contracts: self/cumulative attribution with
 reentrancy, zero-duration spans, exception unwinding, interleaved async
 frames, leaf records and accumulators, snapshot/absorb shard merging,
-the ``repro.obs.trace/1`` span log, and digest non-perturbation.
+the ``repro.obs.trace/1`` span log and its closing ``profile`` record,
+the ``obs profile``/``obs summary --slow`` renderers, digest
+non-perturbation, and coverage of every pipeline stage in real runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from repro.obs.profile import (
     profile_stage,
     profiling,
 )
-from repro.obs.schema import validate_trace_file
+from repro.obs.schema import validate_trace_file, validate_trace_records
+from repro.obs.summary import render_call_tree, render_profile, render_stage_table
 
 
 class FakeClock:
@@ -388,13 +391,18 @@ class TestSpanLog:
             "type": "meta", "schema": "repro.obs.trace/1", "tool": "t", "seed": 3,
         }
         # Sorted by t0; leaf records stay span-free.
-        assert [(r["type"], r["name"], r["parent"]) for r in records[1:]] == [
+        assert [(r["type"], r["name"], r["parent"]) for r in records[1:-1]] == [
             ("span", "outer", None),
             ("span", "inner", "outer"),
             ("event", "marker", None),
         ]
         assert records[1]["attrs"] == {"n": 1}
         assert records[1]["t0"] == 0.0 and records[1]["dur"] == 3.0
+        # The closing profile record holds the leaf stage the spans lack.
+        assert records[-1] == {
+            "type": "profile", "stages": prof.stages(), "edges": prof.edges(),
+        }
+        assert records[-1]["stages"]["leaf"]["calls"] == 1
 
     def test_event_never_touches_the_frame_stack(self):
         prof = StageProfiler(clock=FakeClock())
@@ -450,3 +458,121 @@ class TestBucketContract:
 
     def test_pipeline_stage_names_unique(self):
         assert len(set(PIPELINE_STAGES)) == len(PIPELINE_STAGES) >= 8
+
+
+def _profile_trace(prof, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    prof.write_jsonl(path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestProfileRecord:
+    def test_stage_counts_must_sum_to_calls(self, tmp_path):
+        prof = StageProfiler(clock=FakeClock(step=0.5))
+        with prof.stage("sim.run"):
+            pass
+        records = _profile_trace(prof, tmp_path)
+        assert validate_trace_records(records) == []
+        records[-1]["stages"]["sim.run"]["counts"][0] += 5
+        assert any("counts" in p for p in validate_trace_records(records))
+
+    def test_missing_edges_flagged(self, tmp_path):
+        records = _profile_trace(StageProfiler(), tmp_path)
+        del records[-1]["edges"]
+        assert any("edges" in p for p in validate_trace_records(records))
+
+
+class TestRenderers:
+    def _profiler(self):
+        prof = StageProfiler(clock=FakeClock(step=1.0), tool="t", seed=3)
+        with prof.stage("sim.run"):
+            prof.record("queue.service", 0.25)
+        return prof
+
+    def test_render_profile_has_table_and_tree(self, tmp_path):
+        text = "\n".join(render_profile(_profile_trace(self._profiler(), tmp_path)))
+        assert text.startswith("== profile (seed=3, tool=t)")
+        assert "sim.run" in text and "queue.service" in text
+        assert "call tree" in text
+
+    def test_render_profile_requires_profile_record(self, tmp_path):
+        records = _profile_trace(self._profiler(), tmp_path)[:-1]
+        with pytest.raises(ObservabilityError):
+            render_profile(records)
+
+    def test_stage_table_ranks_by_self_time_and_truncates(self):
+        stages = self._profiler().stages()
+        lines = render_stage_table(stages, top=1)
+        assert lines[1].split()[0] == "sim.run"  # 0.75 s self beats 0.25 s
+        assert lines[-1] == "  ... 1 more stage(s)"
+        assert render_stage_table({}) == ["  (no stages recorded)"]
+
+    def test_call_tree_nests_children_under_parents(self):
+        lines = render_call_tree(self._profiler().edges())
+        assert [line.split()[0] for line in lines] == ["sim.run", "queue.service"]
+        assert lines[1].startswith("    queue.service")
+
+    def test_obs_summary_slow_spans(self, tmp_path, capsys):
+        from repro.cli import main
+
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(json.dumps(
+            {"schema": "repro.obs.metrics/1", "manifest": None,
+             "metrics": {"counters": {}, "gauges": {}, "histograms": {},
+                         "series": {}}}
+        ))
+        trace = tmp_path / "trace.jsonl"
+        spans = [
+            {"type": "span", "name": f"span-{i}", "t0": float(i),
+             "dur": float(i), "attrs": {"cell": f"c{i}"}}
+            for i in range(5)
+        ]
+        trace.write_text(
+            "\n".join(json.dumps(s) for s in spans) + "\n", encoding="utf-8"
+        )
+        assert main([
+            "obs", "summary", str(metrics), "--trace", str(trace),
+            "--slow", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "span-4" in out          # slowest first
+        assert "span-1" not in out      # beyond top-3
+        assert "cell=c4" in out
+
+
+class TestStageCoverage:
+    def test_covers_required_pipeline_stages(self, tmp_path):
+        """Every instrumented pipeline stage fires in real runs: a single
+        cell, a 2-worker sweep and a live loopback, all profiled."""
+        from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
+        from repro.experiments.runner import run_badabing, sweep_badabing
+        from repro.live.runtime import live_loopback
+
+        cell = {
+            "scenario": "episodic_cbr", "warmup": 2.0,
+            "scenario_kwargs": {"mean_spacing": 2.0},
+        }
+        live = BadabingConfig(
+            probe=ProbeConfig(slot=0.005, probe_size=64, packets_per_probe=3),
+            marking=MarkingConfig(tau=0.0),
+            p=0.3,
+            n_slots=200,
+        )
+        prof = StageProfiler()
+        with profiling(prof):
+            run_badabing(p=0.3, n_slots=800, seed=3, metrics=MetricsRegistry(), **cell)
+            outcomes = sweep_badabing(
+                [{"p": 0.3, "seed": 1}, {"p": 0.5, "seed": 2}],
+                metrics=MetricsRegistry(), workers=2, n_slots=600, **cell,
+            )
+            live_loopback(
+                config=live, seed=1, registry=MetricsRegistry(),
+                trace_path=str(tmp_path / "loopback.jsonl"),
+            )
+        assert all(outcome.ok for outcome in outcomes)
+        covered = set(prof.stages())
+        # The acceptance bar: at least 8 named pipeline stages across
+        # sim, sweep, and live runs.
+        assert len(covered & set(PIPELINE_STAGES)) >= 8, sorted(covered)
+        missing = set(PIPELINE_STAGES) - covered
+        assert not missing, f"stages never profiled: {sorted(missing)}"
